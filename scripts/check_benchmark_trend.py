@@ -8,7 +8,7 @@ non-zero when any metric regresses by more than the configured tolerance
 A baseline metric reads one value per benchmark, in one of two forms:
 
 * ``key`` -- a ratio the benchmark itself recorded in its ``extra_info``
-  (e.g. ``speedup_vec16_vs_serial``, ``speedup_pipelined_vs_lockstep``);
+  (e.g. ``speedup_vec16_vs_serial``, ``overhead_pool1_vs_vec16``);
 * ``stat`` -- a pytest-benchmark timing statistic of the benchmark run
   (e.g. ``mean``, ``median``).
 
@@ -34,8 +34,8 @@ conflated:
 * ``MISSING`` -- the benchmark, the metric's field, or the core count the
   gate needs is absent from the results JSON.  A core-gated metric whose
   benchmark did not record ``usable_cores`` is MISSING, not gated: otherwise
-  a still-unmeasured baseline (e.g. ``speedup_pipelined_vs_lockstep``) could
-  pass silently forever by looking like a small-runner skip.  MISSING warns
+  a core-gated baseline that was never measured could pass silently forever
+  by looking like a small-runner skip.  MISSING warns
   by default -- the (deliberately non-blocking) benchmark job's own failure
   covers that case -- and fails the check under ``--strict``.
 

@@ -59,18 +59,9 @@ class TrainerConfig:
     backend: str = "local"
     #: Worker-process count for the process backend (``None`` = one per
     #: available core, capped at ``num_envs``).  Ignored by the local backend.
+    #: Both backends collect bit-identical rollouts for the same seeds, so
+    #: the choice of backend and worker count never changes the trained model.
     num_workers: Optional[int] = None
-    #: Drain-phase work stealing for the process backend: lanes that finish
-    #: while the epoch drains immediately start next-epoch episodes, which
-    #: are banked and credited to the next collection call.
-    work_stealing: bool = True
-    #: Round scheduling of the process backend: 1 = lockstep (the
-    #: bit-identical path), 2 = double-buffered lane cohorts that overlap the
-    #: parent's batched forward pass with worker simulator stepping, plus
-    #: worker-side background episode pre-sampling (see
-    #: :class:`~repro.rl.lane_pool.ProcessLanePool`).  Ignored by the local
-    #: backend, which steps lanes in this process.
-    pipeline_depth: int = 1
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
@@ -83,11 +74,6 @@ class TrainerConfig:
             raise ValueError(f"backend must be 'local' or 'process', got {self.backend!r}")
         if self.num_workers is not None and self.num_workers <= 0:
             raise ValueError("num_workers must be positive when given")
-        if self.pipeline_depth not in (1, 2):
-            raise ValueError(
-                "pipeline_depth must be 1 (lockstep) or 2 (double-buffered cohorts), "
-                f"got {self.pipeline_depth}"
-            )
 
     @classmethod
     def paper_scale(cls, epochs: int = 200) -> "TrainerConfig":
@@ -214,7 +200,7 @@ class Trainer:
         self.ppo = PPO(self.agent, self.config.ppo, seed=seed)
         self.rng = as_rng(seed if seed is not None else self.config.seed)
         # Both backends derive lane environments through the same factory and
-        # the same seed draws (which is what makes a one-worker process pool
+        # the same seed draws (which is what makes a process pool
         # bit-identical to the local engine), and the num_envs == 1 case
         # draws nothing from self.rng, so the serial path consumes exactly
         # the same rng stream as a hand-driven run_trajectory loop.
@@ -224,8 +210,6 @@ class Trainer:
             seed=self.rng,
             backend=self.config.backend,
             num_workers=self.config.num_workers,
-            work_stealing=self.config.work_stealing,
-            pipeline_depth=self.config.pipeline_depth,
         )
         if self.config.num_envs == 1:
             self.lane_rngs = [self.rng]
@@ -268,9 +252,9 @@ class Trainer:
     def _log_engine_stats(self, epoch: int) -> None:
         """Log this epoch's rollout-engine statistics (delta vs last epoch).
 
-        Makes pipeline/stealing wins visible in training output: rounds, the
-        worker idle fraction the pipelined cohorts shrink, pre-sampled resets
-        consumed, and banked/credited stolen episodes.
+        Shows where collection time went in training output: rounds,
+        decisions and episodes, per-phase wall time (forward, encode, step,
+        result wait), the workers' idle fraction, and respawns.
         """
         stats_fn = getattr(self.vec_env, "stats", None)
         if stats_fn is None:  # pragma: no cover - every bundled engine has stats()

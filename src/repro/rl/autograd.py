@@ -18,8 +18,8 @@ picks its algorithm from the product shape) and :meth:`Tensor.matmul_invariant`
 output rows are bit-identical regardless of how many rows share the batch).
 The model layers (:class:`~repro.rl.nn.Linear`) use the invariant kernel, so
 policy and value outputs -- and therefore rollout trajectories and PPO
-updates -- do not depend on rollout lane count, worker shard layout, pipeline
-depth, or minibatch composition.
+updates -- do not depend on rollout lane count, worker shard layout, or
+minibatch composition.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def invariant_matmul(
 
     bit for bit, for any batch composition (asserted over randomized shapes
     in ``tests/test_rl_autograd.py``).  This is what makes policy outputs
-    identical across rollout lane count, worker shard layout, and pipeline
-    depth -- see the determinism contract in ``docs/simulator.md``.
+    identical across rollout lane count and worker shard layout -- see the
+    determinism contract in ``docs/simulator.md``.
 
     ``row_block`` is a **per-call-site hint** overriding the default block
     size.  Batch invariance holds *within* a call site -- any fixed block

@@ -13,15 +13,12 @@ writing), ``_full`` counts ready frames (consumer acquires before reading).
 Both sides track their own slot index locally -- with exactly one producer
 and one consumer the indices advance monotonically and never race.
 
-A ring with ``capacity >= 2`` supports **multiple frames in flight**, which
-is what the pipelined lane pool's double-buffered cohorts build on: the
-parent pushes round *t+1*'s command frame for one cohort while the worker is
-still stepping the other cohort's round *t*, and frames carry a cohort tag
-in their header so each side can pair commands with results (see
-``docs/simulator.md`` §5).  ``timeout=0`` on :meth:`push`/:meth:`pop` is a
-non-blocking poll -- the consumer can check for a pending frame and spend
-idle gaps on background work (worker-side episode pre-sampling) instead of
-blocking.
+A ring with ``capacity >= 2`` holds **several frames in flight**: the lane
+pool pushes a cold-path frame (the call's fixed episode sequences) and the
+round frame behind it without waiting for the worker, and worker recovery
+re-pushes every unanswered frame onto a replacement's fresh ring (see
+``docs/simulator.md`` §4).  ``timeout=0`` on :meth:`push`/:meth:`pop` is a
+non-blocking poll.
 
 The ring object is construct-in-parent, attach-in-child: it pickles its
 geometry and the segment *name* (never the mapping), and the child re-maps

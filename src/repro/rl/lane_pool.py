@@ -3,7 +3,7 @@
 :class:`ProcessLanePool` scales rollout collection across CPU cores: a
 persistent pool of worker processes each hosts a contiguous **shard** of
 simulator lanes, and the parent keeps running one batched policy forward pass
-per round across every worker's ready lanes.  Per round:
+per round across every worker's running lanes.  Per step round:
 
 1. the parent stacks the current observations of all running lanes
    (ascending lane order, exactly like :class:`~repro.rl.vec_env.VecBackfillEnv`),
@@ -17,77 +17,43 @@ per round across every worker's ready lanes.  Per round:
    :meth:`~repro.core.observation.ObservationBuilder.encode_batch` pass, and
    writes observations/masks/rewards/terminal infos back through its result
    ring;
-4. the parent stores the transition in per-lane trajectory buffers and
+4. the parent stores the transitions in per-lane trajectory buffers and
    merges finished episodes into the epoch buffer, in lane order.
 
-**Pipelined cohorts** (``pipeline_depth=2``).  The lockstep round above has a
-bubble on both sides: workers idle during the parent's forward pass, and the
-parent idles while workers step.  With ``pipeline_depth=2`` the lanes are
-split into two alternating **cohorts** (lane ``i`` belongs to cohort
-``i % 2``) and the round loop becomes a two-stage software pipeline: the
-parent issues cohort *A*'s round *t+1* commands immediately after reading
-cohort *A*'s round *t* results, while the workers are still stepping cohort
-*B* -- parent matmuls overlap worker simulator stepping.  Command and result
-frames carry a cohort tag so either side detects a desynchronised pairing.
-``pipeline_depth=1`` is today's lockstep loop, bit-identical to PR 2's
-behaviour (and, with one worker and stealing off, to the in-process engine).
+**Restarts.**  A lane that finishes an episode restarts only while the call's
+quota of episode starts lasts, in ascending lane order -- the local engine's
+rule.  Workers never restart a lane on their own: the parent collects every
+worker's results of a step round, picks the finished lanes that get a new
+episode, and issues a **reset round** (``RESET`` commands only, no forward)
+before the next forward pass.  A worker cannot know how many lower-numbered
+lanes on other workers finished in the same round, so only the parent can
+apply the rule.
 
-**Background episode pre-sampling.**  In pipelined mode, a worker that would
-otherwise block on its command ring spends the gap **arming** idle lanes: it
-pre-samples and pre-validates the lane's next episode start (the full
-sampling loop, including up to ``max_reset_attempts`` baseline simulations)
-so a subsequent sampled ``RESET`` pops the prepared start instead of burning
-the baseline simulations inside the round while its shard-mates wait.
-Arming consumes exactly the draws the in-round reset would have consumed, in
-the same per-lane order, so trajectories are unchanged -- only *when* the
-sampling work happens moves.  In pipelined mode workers do not auto-restart
-finished lanes (no same-round credits): a finished lane goes idle for one
-cohort round, gets armed in the gap, and restarts via an explicit reset that
-hits the pre-sample queue.
-
-**Drain-phase work stealing.**  At the tail of an epoch lanes finish at
-different times and the forward-pass batch would shrink.  With
-``work_stealing=True`` (the default for sampled-episode rollouts) a lane that
-finishes an episode immediately starts an episode for the *next* epoch
-instead of idling; episodes completed beyond the requested count -- and the
-partial trajectories still in flight when :meth:`rollout` returns -- are
-**banked** and credited to the next :meth:`rollout` call.  Batches stay full
-through the drain phase at the cost of collecting a small, bounded amount of
-next-epoch experience under the current policy (PPO's importance ratios
-already account for slightly stale behaviour policies).
-
-**Determinism contract** (see ``docs/simulator.md`` §4-§6): worker shards
+**Determinism contract** (see ``docs/simulator.md`` §4 and §5): worker shards
 preserve global lane indexing, workers process commands in ascending lane
 order, and per-lane episode-sampling rngs live inside the worker's
 environment while per-lane action rngs stay in the parent.  The policy
 forward pass runs through the batch-invariant matmul kernel
 (:func:`repro.rl.autograd.invariant_matmul`), so each lane's floats do not
-depend on which other lanes share a forward batch, and completed episodes
-are released into the epoch buffer in **canonical order** -- sorted by
-``(lane decision count at completion, lane)``, the logical completion clock
--- rather than raw arrival order.  Together those make the pool
-bit-identical to the in-process engine for the same lanes and seeds at *any*
-worker count and *any* pipeline depth: trajectories, buffer contents, and
-episode infos are equal bit for bit (asserted in ``tests/test_lane_pool.py``,
-``tests/test_pipelined_pool.py``, and the cross-config matrix in
-``tests/test_parity_matrix.py``).  Arrival order already equals canonical
-order whenever every lane stores one decision per round (the common lockstep
-case), so the queue usually drains immediately; it genuinely reorders
-whenever a lane loses a round relative to its decision clock -- pipelined
-cohorts completing rounds at interleaved times, and lockstep lanes whose
-restart had to wait for an explicit parent RESET (multi-worker
-``episode_jobs`` rounds, unclaimed credit grants) -- which is exactly what
-keeps those schedules aligned with the in-process engine's inline restarts.
+depend on which other lanes share a forward batch.  Every running lane steps
+once per step round and every restart lands before the next forward, so a
+lane that completes an episode in step round *k* has stored exactly *k*
+decisions in this call, and results are folded in ascending lane order:
+arrival order is the local engine's completion order.  Together those make
+the pool bit-identical to the in-process engine for the same lanes and seeds
+at *any* worker count and *any* episode count: trajectories, buffer
+contents, and episode infos are equal bit for bit (asserted in
+``tests/test_lane_pool.py`` and the cross-config matrix in
+``tests/test_parity_matrix.py``).
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
 import time
 import weakref
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,10 +64,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import trace_spool_dir
 from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.env import Environment, StepResult
-from repro.rl.ipc import Field, FrameLayout, RingTimeout, ShmRing
+from repro.rl.ipc import Field, FrameLayout, ShmRing
 from repro.rl.ppo import ActorCritic
 from repro.rl.vec_env import VecBackfillEnv, clone_lane_envs, validate_rollout_args
-from repro.utils.rng import SeedLike, as_rng
+from repro.utils.rng import SeedLike
 
 __all__ = ["ProcessLanePool", "make_rollout_engine", "available_worker_count"]
 
@@ -127,16 +93,20 @@ _RESET_PIPE_JOBS = -2  # jobs for this reset arrive on the control pipe
 #: Per-lane result statuses.
 _LANE_IDLE = 0
 _LANE_RUNNING = 1
-_LANE_DONE_RESTARTED = 2
-_LANE_DONE_IDLE = 3
+#: The lane's episode ended this round; it stays idle until a RESET.
+_LANE_DONE = 2
 #: The command for this lane raised a recoverable exception (bad action, a
 #: sequence without backfilling opportunities, reset-sampling exhaustion).
 #: The worker stays alive; details travel over the control pipe.
-_LANE_FAILED = 4
+_LANE_FAILED = 3
 
 #: Result-frame kinds.
 _RES_OK = 0
 _RES_ERROR = 1
+
+#: Frames per ring: one round frame in flight plus headroom for the cold-path
+#: RECV_JOBS frame pushed ahead of it.
+_RING_CAPACITY = 2
 
 #: Terminal-info columns mirrored through shared memory.
 _INFO_FIELDS = ("bsld", "baseline_bsld", "violations", "steps")
@@ -154,10 +124,6 @@ def _command_layout(shard: int) -> FrameLayout:
     return FrameLayout(
         [
             Field("kind", (), "int64"),
-            Field("cohort", (), "int64"),
-            Field("presample", (), "int64"),
-            Field("credit_base", (), "int64"),
-            Field("credits", (), "int64"),
             # 1 on frames re-issued from the recovery history (so a respawned
             # worker's catch-up spans are tagged in the merged trace), 0 on
             # first-run rounds.  Every ROUND push site writes it explicitly:
@@ -173,9 +139,6 @@ def _result_layout(shard: int, observation_size: int, num_actions: int) -> Frame
     return FrameLayout(
         [
             Field("kind", (), "int64"),
-            Field("cohort", (), "int64"),
-            Field("claimed", (), "int64"),
-            Field("presampled", (), "int64"),
             Field("wait_ns", (), "int64"),
             Field("step_ns", (), "int64"),
             Field("encode_ns", (), "int64"),
@@ -205,17 +168,8 @@ def _worker_main(
     """Host a shard of lane environments; loop over command frames forever.
 
     Lanes are processed in ascending (local == global) order, mirroring the
-    in-process engine's active-list iteration; all advanced or restarted
-    lanes of one round share a single batched feature-encoding pass.
-
-    Between rounds the worker polls its command ring non-blockingly and, when
-    the parent allowed it (the ``presample`` flag of the last round frame),
-    spends the idle gap **arming** idle lanes: one full pre-sampled,
-    pre-validated episode start per poll, stored as the lane's prepared
-    next episode.  A sampled ``RESET`` pops the armed start (or its stashed
-    sampling error) instead of running the sampling loop inside the round;
-    an explicit-jobs ``RESET`` discards the armed state, mirroring the
-    parent-side abandonment of any other in-flight episode.
+    in-process engine's active-list iteration; all advanced or reset lanes
+    of one round share a single batched feature-encoding pass.
     """
     import traceback
 
@@ -239,48 +193,12 @@ def _worker_main(
     span_args = {"worker": worker_index}
     replay_span_args = {"worker": worker_index, "replay": True}
     episode_jobs = None
-    running = [False] * shard
-    armed_masks: Dict[int, np.ndarray] = {}
-    armed_errors: Dict[int, tuple] = {}
-    presample_enabled = False
     wait_ns = 0
     try:
         while True:
-            # -- gap phase: poll for the next command; arm idle lanes while
-            # none is pending.  One arming per poll bounds the latency a
-            # command arriving mid-gap can see to a single episode reset.
-            while True:
-                t0 = time.monotonic_ns()
-                if presample_enabled:
-                    candidates = [
-                        lane
-                        for lane in range(shard)
-                        if not running[lane]
-                        and lane not in armed_masks
-                        and lane not in armed_errors
-                    ]
-                else:
-                    candidates = []
-                if not candidates:
-                    frame = cmd_ring.pop()
-                    wait_ns += time.monotonic_ns() - t0
-                    break
-                try:
-                    frame = cmd_ring.pop(timeout=0.0)
-                    wait_ns += time.monotonic_ns() - t0
-                    break
-                except RingTimeout:
-                    wait_ns += time.monotonic_ns() - t0
-                    lane = candidates[0]
-                    try:
-                        _, armed_masks[lane] = envs[lane].reset(encode=False)
-                    except Exception as exc:
-                        # Delivered on the lane's next sampled reset, where
-                        # the in-round sampling loop would have raised it.
-                        armed_errors[lane] = (
-                            type(exc).__name__,
-                            traceback.format_exc(),
-                        )
+            t0 = time.monotonic_ns()
+            frame = cmd_ring.pop()
+            wait_ns += time.monotonic_ns() - t0
             kind = int(frame["kind"])
             if kind == _KIND_SHUTDOWN:
                 break
@@ -291,13 +209,7 @@ def _worker_main(
                 # bounded pipe buffer without deadlocking either side.
                 _, episode_jobs = pipe.recv()
                 continue
-            cohort = int(frame["cohort"])
-            presample_enabled = bool(int(frame["presample"]))
             replay_round = bool(int(frame["replay"]))
-            credits = int(frame["credits"])
-            next_index = int(frame["credit_base"])
-            claimed = 0
-            presampled = 0
             status = np.full(shard, _LANE_IDLE, dtype=np.int64)
             reward = np.zeros(shard, dtype=np.float64)
             info = np.zeros((shard, len(_INFO_FIELDS)), dtype=np.float64)
@@ -318,23 +230,10 @@ def _worker_main(
                         if index == _RESET_PIPE_JOBS:
                             # One-off sequence for this reset, sent after the
                             # command frame (same no-deadlock ordering as above).
-                            armed_masks.pop(lane, None)
-                            armed_errors.pop(lane, None)
                             _, reset_jobs = pipe.recv()
                             _, mask[lane] = env.reset(jobs=reset_jobs, encode=False)
                         elif index >= 0:
-                            armed_masks.pop(lane, None)
-                            armed_errors.pop(lane, None)
                             _, mask[lane] = env.reset(jobs=episode_jobs[index], encode=False)
-                        elif lane in armed_masks:
-                            # Pre-sampled start: the episode is already
-                            # resident at its first decision point.
-                            mask[lane] = armed_masks.pop(lane)
-                            presampled += 1
-                        elif lane in armed_errors:
-                            status[lane] = _LANE_FAILED
-                            lane_errors[lane] = armed_errors.pop(lane)
-                            continue
                         else:
                             _, mask[lane] = env.reset(encode=False)
                     except Exception as exc:
@@ -343,10 +242,8 @@ def _worker_main(
                         # its other lanes stay usable, the parent re-raises.
                         status[lane] = _LANE_FAILED
                         lane_errors[lane] = (type(exc).__name__, traceback.format_exc())
-                        running[lane] = False
                         continue
                     status[lane] = _LANE_RUNNING
-                    running[lane] = True
                     encode_lanes.append(lane)
                     continue
                 try:
@@ -360,24 +257,7 @@ def _worker_main(
                 reward[lane] = result.reward
                 if result.done:
                     info[lane] = [float(result.info[key]) for key in _INFO_FIELDS]
-                    if credits != 0:
-                        # Auto-restart in the same round, exactly where the
-                        # in-process engine restarts a finished lane.
-                        if episode_jobs is not None:
-                            _, mask[lane] = env.reset(
-                                jobs=episode_jobs[next_index], encode=False
-                            )
-                        else:
-                            _, mask[lane] = env.reset(encode=False)
-                        next_index += 1
-                        claimed += 1
-                        if credits > 0:
-                            credits -= 1
-                        status[lane] = _LANE_DONE_RESTARTED
-                        encode_lanes.append(lane)
-                    else:
-                        status[lane] = _LANE_DONE_IDLE
-                        running[lane] = False
+                    status[lane] = _LANE_DONE
                 else:
                     mask[lane] = result.mask
                     status[lane] = _LANE_RUNNING
@@ -424,9 +304,6 @@ def _worker_main(
             res_ring.push(
                 {
                     "kind": _RES_OK,
-                    "cohort": cohort,
-                    "claimed": claimed,
-                    "presampled": presampled,
                     "wait_ns": wait_ns,
                     "step_ns": step_ns,
                     "encode_ns": encode_ns,
@@ -531,25 +408,14 @@ class ProcessLanePool:
     Implements the same ``reset_lane`` / ``step_lane`` / ``rollout`` surface
     as :class:`~repro.rl.vec_env.VecBackfillEnv`; construct one through
     :func:`make_rollout_engine` with ``backend="process"``.
-
-    ``pipeline_depth=1`` (default) runs the lockstep round loop;
-    ``pipeline_depth=2`` overlaps the parent's batched forward pass with
-    worker simulator stepping via double-buffered lane cohorts and enables
-    worker-side background episode pre-sampling (see the module docstring
-    and ``docs/simulator.md`` §5).  ``presample`` overrides the pre-sampling
-    default (on iff pipelined).
     """
 
     def __init__(
         self,
         envs: Sequence[Environment],
         num_workers: int | None = None,
-        work_stealing: bool = True,
         start_method: str | None = None,
-        ring_capacity: int = 2,
         round_timeout: float = 120.0,
-        pipeline_depth: int = 1,
-        presample: bool | None = None,
         respawn: bool = True,
         max_respawns: int = 8,
         fault_plan: FaultPlan | None = None,
@@ -569,19 +435,11 @@ class ProcessLanePool:
                     "the process backend requires deferred-encoding environments "
                     f"(reset/step with encode=False); {type(env).__name__} has no pending_encode()"
                 )
-        if pipeline_depth not in (1, 2):
-            raise ValueError(
-                f"pipeline_depth must be 1 (lockstep) or 2 (double-buffered cohorts), "
-                f"got {pipeline_depth}"
-            )
 
         self._num_envs = len(envs)
         self._observation_size = int(envs[0].observation_size)
         self._num_actions = int(envs[0].num_actions)
-        self.work_stealing = bool(work_stealing)
         self.round_timeout = float(round_timeout)
-        self.pipeline_depth = int(pipeline_depth)
-        self.presample = (self.pipeline_depth >= 2) if presample is None else bool(presample)
 
         num_workers = num_workers if num_workers is not None else available_worker_count()
         self.num_workers = max(1, min(int(num_workers), self._num_envs))
@@ -598,9 +456,6 @@ class ProcessLanePool:
         ctx = multiprocessing.get_context(start_method)
         self.start_method = start_method
 
-        # Double-buffering needs one in-flight frame per cohort plus headroom
-        # for the cold-path RECV_JOBS frame.
-        self._ring_capacity = max(int(ring_capacity), self.pipeline_depth + 1)
         self._ctx = ctx
 
         # Crash-recovery state.  The parent retains the lane environments it
@@ -617,7 +472,6 @@ class ProcessLanePool:
         self._lane_envs = list(envs)
         self._reset_history: List[List[tuple]] = [[] for _ in range(self._num_envs)]
         self._action_history: List[List[int]] = [[] for _ in range(self._num_envs)]
-        self._pending_reset_spec: Dict[int, tuple] = {}
         self._inflight: List[List[dict]] = [[] for _ in range(self.num_workers)]
         self._respawn_counts = [0] * self.num_workers
         self._rounds_completed = 0
@@ -653,20 +507,10 @@ class ProcessLanePool:
             self._pipes,
         )
 
-        # Parent-side rollout state (persists across rollout() calls so
-        # stolen in-flight episodes can resume next epoch).
+        # Parent-side view of each lane (shared by the direct surface and
+        # rollout(), which restarts every lane it uses).
         self._lanes = [_LaneState() for _ in range(self._num_envs)]
-        self._lane_buffers: Optional[List[TrajectoryBuffer]] = None
-        self._bank: List[tuple] = []  # [(info, TrajectoryBuffer)] completed, uncredited
         self._shipped_jobs: List[Optional[object]] = [None] * self.num_workers
-        # Canonical episode-release state, reset per rollout() call: per-lane
-        # decision clocks, the min-heap of completed-but-unreleased episodes
-        # keyed by (clock at completion, lane), and the lanes whose RESET
-        # command is in flight (they will start an episode, so they gate
-        # releases exactly like running lanes).
-        self._release_clocks: List[int] = [0] * self._num_envs
-        self._release_pending: List[tuple] = []
-        self._pending_starts: Set[int] = set()
         #: Workers whose first result frame of the current rollout() has been
         #: seen.  ``None`` outside rollouts.  A worker accrues command-ring
         #: wait continuously, so the wait reported by its *first* frame of a
@@ -685,9 +529,6 @@ class ProcessLanePool:
                 "rounds",
                 "decisions",
                 "episodes",
-                "steal_banked",
-                "steal_credited",
-                "presampled_resets",
                 "respawns",
                 "replayed_commands",
                 "forward_ns",
@@ -705,7 +546,7 @@ class ProcessLanePool:
                     engine="process",
                     worker=str(worker),
                 )
-                for key in ("wait_ns", "step_ns", "encode_ns", "presampled_resets")
+                for key in ("wait_ns", "step_ns", "encode_ns")
             }
             for worker in range(self.num_workers)
         ]
@@ -747,23 +588,14 @@ class ProcessLanePool:
     def num_actions(self) -> int:
         return self._num_actions
 
-    @property
-    def pending_banked_episodes(self) -> int:
-        """Completed next-epoch episodes waiting to be credited."""
-        return len(self._bank)
-
-    @property
-    def pending_inflight_lanes(self) -> int:
-        """Lanes currently mid-episode (stolen work resumes next call)."""
-        return sum(1 for lane in self._lanes if lane.running)
-
     # -- statistics ------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """Cumulative engine statistics (see ``docs/simulator.md`` §5).
+        """Cumulative engine statistics (see ``docs/simulator.md`` §4).
 
         ``worker_idle_fraction`` is the mean fraction of worker wall time
-        spent blocked on command frames during rollouts -- the pipeline's
-        target: it shrinks when parent forwards overlap worker stepping.
+        spent blocked on command frames during rollouts: the share of each
+        round a worker waits for the parent's forward pass and for the
+        slowest other worker.
         """
         c = self._counters
         wall_ns = c["rollout_ns"].value
@@ -772,15 +604,11 @@ class ProcessLanePool:
         )
         return {
             "engine": "process",
-            "pipeline_depth": self.pipeline_depth,
             "num_workers": self.num_workers,
             "rollouts": c["rollouts"].value,
             "rounds": c["rounds"].value,
             "decisions": c["decisions"].value,
             "episodes": c["episodes"].value,
-            "steal_banked": c["steal_banked"].value,
-            "steal_credited": c["steal_credited"].value,
-            "presampled_resets": c["presampled_resets"].value,
             "respawns": c["respawns"].value,
             "replayed_commands": c["replayed_commands"].value,
             "worker_idle_fraction": round(idle, 4),
@@ -808,14 +636,14 @@ class ProcessLanePool:
         """
         lo, hi = self.shards[worker]
         shard = hi - lo
-        cmd_ring = ShmRing(_command_layout(shard), self._ring_capacity, self._ctx)
+        cmd_ring = ShmRing(_command_layout(shard), _RING_CAPACITY, self._ctx)
         if len(self._cmd_rings) > worker:
             self._cmd_rings[worker] = cmd_ring
         else:
             self._cmd_rings.append(cmd_ring)
         res_ring = ShmRing(
             _result_layout(shard, self._observation_size, self._num_actions),
-            self._ring_capacity,
+            _RING_CAPACITY,
             self._ctx,
         )
         if len(self._res_rings) > worker:
@@ -953,11 +781,10 @@ class ProcessLanePool:
     def _replay_command(self, lane: int, op: int, arg: int, payload=None) -> None:
         """Re-execute one historical command on a respawned worker's lane.
 
-        Replay frames disable pre-sampling so arming cannot consume draws the
-        history does not account for, and their result frames are popped raw:
-        published counter deltas and timing are NOT folded into the parent
-        registries, so recovery leaves global metric totals equal to an
-        unfailed run's (the original execution was already counted).
+        Replay result frames are popped raw: published counter deltas and
+        timing are NOT folded into the parent registries, so recovery leaves
+        global metric totals equal to an unfailed run's (the original
+        execution was already counted).
         """
         worker = self._worker_of(lane)
         lo, hi = self.shards[worker]
@@ -966,17 +793,7 @@ class ProcessLanePool:
         cmd[lane - lo] = op
         args[lane - lo] = arg
         self._raw_push(
-            worker,
-            {
-                "kind": _KIND_ROUND,
-                "cohort": 0,
-                "presample": 0,
-                "credit_base": 0,
-                "credits": 0,
-                "replay": 1,
-                "cmd": cmd,
-                "arg": args,
-            },
+            worker, {"kind": _KIND_ROUND, "replay": 1, "cmd": cmd, "arg": args}
         )
         if payload is not None:
             self._pipes[worker].send(payload)
@@ -1011,8 +828,8 @@ class ProcessLanePool:
         """SIGKILL workers the fault plan schedules after the completed round.
 
         Round indices count completed result-collection rounds over the
-        pool's lifetime (lockstep rounds and pipelined cohort rounds alike);
-        recovery happens lazily on the next ring operation that notices the
+        pool's lifetime (step rounds and reset rounds alike); recovery
+        happens lazily on the next ring operation that notices the
         death, exercising the same path an organic crash takes.
         """
         if self.fault_plan is None or not self.fault_plan.has_worker_kills:
@@ -1110,13 +927,10 @@ class ProcessLanePool:
                 self._rollout_wait_credit.add(worker)
         step_ns = int(frame["step_ns"])
         encode_ns = int(frame["encode_ns"])
-        presampled = int(frame["presampled"])
         self._counters["worker_step_ns"].inc(step_ns)
         per_worker["step_ns"].inc(step_ns)
         self._counters["worker_encode_ns"].inc(encode_ns)
         per_worker["encode_ns"].inc(encode_ns)
-        self._counters["presampled_resets"].inc(presampled)
-        per_worker["presampled_resets"].inc(presampled)
         # Fold the worker's published global-counter deltas into ours.
         for handle, delta in zip(self._published_handles, frame["published"]):
             if delta:
@@ -1177,16 +991,7 @@ class ProcessLanePool:
         try:
             self._push_round(
                 worker,
-                {
-                    "kind": _KIND_ROUND,
-                    "cohort": 0,
-                    "presample": 0,
-                    "credit_base": 0,
-                    "credits": 0,
-                    "replay": 0,
-                    "cmd": cmd,
-                    "arg": args,
-                },
+                {"kind": _KIND_ROUND, "replay": 0, "cmd": cmd, "arg": args},
                 payload=None if jobs is None else ("reset_jobs", jobs),
             )
             return self._pop_result(worker), lane - lo
@@ -1227,32 +1032,15 @@ class ProcessLanePool:
             # same draws (the replayed failure is tolerated).
             self._record_reset(lane, ("sample",))
         self._raise_lane_failures(self._worker_of(lane), frame)
-        if self._lane_buffers is not None:
-            # The lane may hold a stolen in-flight episode's partial steps;
-            # an explicit reset abandons that episode, so its steps must not
-            # splice into the next finish_path().
-            self._lane_buffers[lane].clear()
         observation = frame["obs"][local].copy()
         mask = frame["mask"][local].copy()
         self._lanes[lane].start(observation, mask)
         return observation, mask
 
     def step_lane(self, lane: int, action: int) -> StepResult:
-        """Advance one lane with ``action``.
-
-        Refuses to step a lane that still holds a stolen in-flight rollout
-        episode: its partial trajectory lives in the pool's lane buffer, and
-        direct stepping would orphan those stored transitions (splicing them
-        into a later episode's GAE path).  ``reset_lane`` first to abandon
-        the in-flight episode explicitly.
-        """
+        """Advance one lane with ``action``."""
         if not self._lanes[lane].running:
             raise RuntimeError(f"lane {lane} has no active episode; call reset_lane first")
-        if self._lane_buffers is not None and len(self._lane_buffers[lane]):
-            raise RuntimeError(
-                f"lane {lane} holds an in-flight rollout episode (drain-phase work "
-                "stealing); reset_lane() it before stepping it directly"
-            )
         frame, local = self._single_lane_round(lane, _CMD_STEP, int(action))
         self._raise_lane_failures(self._worker_of(lane), frame)
         self._action_history[lane].append(int(action))
@@ -1260,7 +1048,7 @@ class ProcessLanePool:
         reward = float(frame["reward"][local])
         state.episode_reward += reward
         state.episode_steps += 1
-        if int(frame["status"][local]) == _LANE_DONE_IDLE:
+        if int(frame["status"][local]) == _LANE_DONE:
             self._action_history[lane].clear()
             info = self._terminal_info(frame["info"][local], state, lane)
             state.retire()
@@ -1290,22 +1078,6 @@ class ProcessLanePool:
         }
 
     # -- rollout ---------------------------------------------------------------
-    def _ensure_lane_buffers(self, buffer: TrajectoryBuffer) -> List[TrajectoryBuffer]:
-        if self._lane_buffers is not None:
-            head = self._lane_buffers[0]
-            if (head.gamma, head.lam) != (buffer.gamma, buffer.lam):
-                if any(len(b) for b in self._lane_buffers) or self._bank:
-                    raise ValueError(
-                        "cannot change buffer gamma/lam while stolen episodes are in flight"
-                    )
-                self._lane_buffers = None
-        if self._lane_buffers is None:
-            self._lane_buffers = [
-                TrajectoryBuffer(gamma=buffer.gamma, lam=buffer.lam)
-                for _ in range(self._num_envs)
-            ]
-        return self._lane_buffers
-
     def rollout(
         self,
         actor_critic: ActorCritic,
@@ -1317,93 +1089,29 @@ class ProcessLanePool:
     ) -> List[Dict]:
         """Collect ``num_trajectories`` episodes across all workers' lanes.
 
-        Same contract as :meth:`VecBackfillEnv.rollout`.  With work stealing
-        enabled (sampled episodes only), completed-but-surplus episodes and
-        in-flight partial trajectories carry over to the next call instead of
-        letting the batch drain.
+        Same contract and same result as :meth:`VecBackfillEnv.rollout`: the
+        call starts its own episodes (a lane left mid-episode by
+        ``reset_lane``/``step_lane`` is restarted) and returns with every
+        lane idle.
         """
         rngs = validate_rollout_args(self._num_envs, num_trajectories, rngs, episode_jobs)
         self._ensure_alive()
-
-        if episode_jobs is not None or deterministic:
-            # Fixed sequences or deterministic evaluation: stolen stochastic
-            # work in flight is moot (its early steps were sampled under the
-            # wrong action regime) -- discard partial trajectories; their
-            # lanes restart fresh.  Banked sampled episodes stay banked for
-            # the next stochastic training call.  This happens *before* the
-            # gamma/lam reconciliation below so an evaluation with different
-            # buffer hyper-parameters is accepted (only the bank genuinely
-            # pins gamma/lam).
-            for lane, state in enumerate(self._lanes):
-                if state.running:
-                    if self._lane_buffers is not None:
-                        self._lane_buffers[lane].clear()
-                    state.retire()
-        else:
-            # A lane that was driven manually through reset_lane/step_lane
-            # holds environment progress the pool never stored; adopting it
-            # would splice a partial trajectory into the epoch buffer.  Only
-            # lanes that are untouched since their (re)start, or that hold a
-            # stolen in-flight episode's stored steps, stay resident --
-            # everything else restarts, matching VecBackfillEnv which owns
-            # every episode start it collects.
-            for lane, state in enumerate(self._lanes):
-                stored = (
-                    0 if self._lane_buffers is None else len(self._lane_buffers[lane])
-                )
-                if state.running and stored == 0 and state.episode_steps > 0:
-                    state.retire()
-
-        lane_buffers = self._ensure_lane_buffers(buffer)
-        # Stealing (and crediting previously stolen work) only makes sense
-        # when this call collects the same kind of experience the bank holds:
-        # sampled episodes under the stochastic policy.
-        stealing = self.work_stealing and episode_jobs is None and not deterministic
-        infos: List[Dict] = []
-
-        if episode_jobs is None and not deterministic:
-            # Credit banked episodes (next-epoch work collected during the
-            # previous call's drain phase) before stepping anything.
-            while self._bank and len(infos) < num_trajectories:
-                info, episode_buffer = self._bank.pop(0)
-                buffer.absorb(episode_buffer)
-                infos.append(info)
-                self._counters["steal_credited"].inc()
-            if len(infos) >= num_trajectories:
-                return infos
-
+        for state in self._lanes:
+            state.retire()
         self._ship_jobs(episode_jobs)
-
-        # Episodes already in flight count toward the quota of episode starts.
-        in_flight = sum(1 for state in self._lanes if state.running)
-        quota = max(0, num_trajectories - len(infos) - in_flight)
+        lane_buffers = [
+            TrajectoryBuffer(gamma=buffer.gamma, lam=buffer.lam)
+            for _ in range(self._num_envs)
+        ]
+        infos: List[Dict] = []
 
         self._counters["rollouts"].inc()
         self._rollout_wait_credit = set()
-        # Fresh canonical-release state: clocks count decisions stored during
-        # *this* call (resumed in-flight episodes keep their earlier steps in
-        # the lane buffers but re-enter the ordering at clock 0, which is
-        # exactly the lockstep arrival order for resumed lanes).
-        self._release_clocks = [0] * self._num_envs
-        self._release_pending = []
-        self._pending_starts = set()
         t_rollout = time.perf_counter_ns()
         try:
-            if self.pipeline_depth == 1:
-                self._rollout_lockstep(
-                    actor_critic, num_trajectories, buffer, rngs, deterministic,
-                    episode_jobs, lane_buffers, stealing, infos, quota,
-                )
-            else:
-                self._rollout_pipelined(
-                    actor_critic, num_trajectories, buffer, rngs, deterministic,
-                    episode_jobs, lane_buffers, stealing, infos, quota,
-                )
-            # Episodes completed beyond the requested count (drain-phase
-            # stealing) that were still gated by the canonical order when the
-            # loop exited: release them unconditionally, smallest key first.
-            self._drain_release_queue(
-                False, 0, buffer, infos, num_trajectories, final=True
+            self._run_rounds(
+                actor_critic, num_trajectories, buffer, rngs, deterministic,
+                episode_jobs, lane_buffers, infos,
             )
         except BaseException:
             # An abort mid-round (KeyboardInterrupt, one worker timing out
@@ -1424,13 +1132,12 @@ class ProcessLanePool:
                     "engine": "process",
                     "lanes": self._num_envs,
                     "workers": self.num_workers,
-                    "pipeline_depth": self.pipeline_depth,
                 },
             )
             self._rollout_wait_credit = None
         return infos
 
-    def _rollout_lockstep(
+    def _run_rounds(
         self,
         actor_critic: ActorCritic,
         num_trajectories: int,
@@ -1439,370 +1146,117 @@ class ProcessLanePool:
         deterministic: bool,
         episode_jobs: Optional[Sequence],
         lane_buffers: List[TrajectoryBuffer],
-        stealing: bool,
         infos: List[Dict],
-        quota: int,
     ) -> None:
-        """The ``pipeline_depth=1`` round loop (PR 2's lockstep behaviour)."""
-        next_index = 0  # next episode_jobs index to hand out
-        # Credits let workers restart finished lanes inside the same round
-        # (the in-process engine's inline restart).  With several workers and
-        # fixed sequences, index disjointness cannot be guaranteed without a
-        # shared counter, so restarts fall back to explicit resets issued by
-        # the parent one round later.
-        allow_credits = episode_jobs is None or self.num_workers == 1
-        presample_flag = 1 if (self.presample and episode_jobs is None) else 0
+        """Alternate reset rounds and step rounds until every episode ends.
 
-        while len(infos) < num_trajectories:
-            running = [lane for lane in range(self._num_envs) if self._lanes[lane].running]
-            starts: List[int] = []
-            budget = self._num_envs if stealing else quota
-            for lane in range(self._num_envs):
-                if len(starts) >= budget:
-                    break
-                if not self._lanes[lane].running:
-                    starts.append(lane)
-            if not running and not starts:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"lane pool stalled with {len(infos)}/{num_trajectories} episodes collected"
-                )
-            quota -= 0 if stealing else len(starts)
-            self._pending_starts.update(starts)
-
-            actions, values, log_probs = self._forward(
-                actor_critic, running, rngs, deterministic
-            )
-
-            # One command frame per worker: STEP running lanes, RESET the
-            # idle lanes chosen to start, plus same-round restart credits.
-            # Workers with nothing to do this round (fully drained shard) are
-            # skipped entirely -- no frame, no round-trip.
-            frames: List[Dict[str, np.ndarray]] = []
-            step_counts: List[int] = []
-            engaged: List[bool] = []
-            for worker, (lo, hi) in enumerate(self.shards):
-                shard = hi - lo
-                cmd = np.zeros(shard, dtype=np.int64)
-                arg = np.zeros(shard, dtype=np.int64)
-                steps_here = 0
-                resets_here = 0
-                for lane in range(lo, hi):
-                    if lane in actions:
-                        cmd[lane - lo] = _CMD_STEP
-                        arg[lane - lo] = actions[lane]
-                        steps_here += 1
-                    elif lane in starts:
-                        cmd[lane - lo] = _CMD_RESET
-                        resets_here += 1
-                        if episode_jobs is not None:
-                            arg[lane - lo] = next_index
-                            self._pending_reset_spec[lane] = (
-                                "jobs", episode_jobs[next_index],
-                            )
-                            next_index += 1
-                        else:
-                            arg[lane - lo] = _RESET_SAMPLE
-                            self._pending_reset_spec[lane] = ("sample",)
-                frames.append({"cmd": cmd, "arg": arg})
-                step_counts.append(steps_here)
-                engaged.append(steps_here > 0 or resets_here > 0)
-            # Explicit reset indices are assigned above, so worker auto-claims
-            # (one-worker case) start at the first unassigned index.
-            grant_pool = self._num_envs if stealing else quota
-            for worker, frame_values in enumerate(frames):
-                if not engaged[worker]:
-                    continue
-                if allow_credits and step_counts[worker]:
-                    credits = -1 if stealing else min(grant_pool, step_counts[worker])
-                    grant_pool -= 0 if stealing else max(credits, 0)
-                else:
-                    credits = 0
-                frame_values.update(
-                    {
-                        "kind": _KIND_ROUND,
-                        "cohort": 0,
-                        "presample": presample_flag,
-                        "credit_base": next_index,
-                        "credits": credits,
-                        "replay": 0,
-                    }
-                )
-                self._push_round(worker, frame_values)
-            self._counters["rounds"].inc()
-
-            # Collect results in worker order == ascending global lane order.
-            for worker, (lo, hi) in enumerate(self.shards):
-                if not engaged[worker]:
-                    continue
-                frame = self._pop_result(worker)
-                self._raise_lane_failures(worker, frame)
-                claimed = int(frame["claimed"])
-                if not stealing:
-                    quota -= claimed
-                restart_specs = self._restart_specs(
-                    worker, frame, episode_jobs, next_index
-                )
-                if episode_jobs is not None and claimed:
-                    next_index += claimed
-                self._apply_result(
-                    worker, frame, actions, values, log_probs, set(starts),
-                    lane_buffers, buffer, infos, num_trajectories,
-                    allow_restarts=True, stealing=stealing, quota=quota,
-                    restart_specs=restart_specs,
-                )
-            self._inject_kills()
-
-    def _rollout_pipelined(
-        self,
-        actor_critic: ActorCritic,
-        num_trajectories: int,
-        buffer: TrajectoryBuffer,
-        rngs: Sequence[np.random.Generator],
-        deterministic: bool,
-        episode_jobs: Optional[Sequence],
-        lane_buffers: List[TrajectoryBuffer],
-        stealing: bool,
-        infos: List[Dict],
-        quota: int,
-    ) -> None:
-        """The ``pipeline_depth=2`` two-stage software pipeline.
-
-        Lanes split into alternating cohorts (lane ``i`` -> cohort
-        ``i % 2``); the parent issues cohort *c*'s next commands right after
-        collecting cohort *c*'s previous results, so its batched forward for
-        one cohort runs while the workers step the other.  Workers never
-        auto-restart in this mode (credits are 0): a finished lane sits out
-        one cohort round, is armed by gap-time pre-sampling, and restarts
-        through an explicit reset that pops the prepared start.
+        ``quota`` counts the episode starts still allowed and ``next_index``
+        the next ``episode_jobs`` sequence; both are handed out in ascending
+        lane order, first to the first ``min(num_envs, num_trajectories)``
+        lanes, then to lanes as they finish -- the local engine's rule.
         """
-        depth = self.pipeline_depth
-        cohort_lanes = [
-            [lane for lane in range(self._num_envs) if lane % depth == c]
-            for c in range(depth)
-        ]
-        presample_flag = 1 if (self.presample and episode_jobs is None) else 0
-        #: Per cohort: ``None`` or the issue context whose results are in flight.
-        outstanding: List[Optional[Dict]] = [None] * depth
+        quota = num_trajectories
         next_index = 0
-        cohort = 0
-        idle_sweeps = 0
-
+        starts = list(range(min(self._num_envs, num_trajectories)))
         while True:
-            pending = outstanding[cohort]
-            if pending is not None:
-                outstanding[cohort] = None
-                for worker in pending["workers"]:
-                    frame = self._pop_result(worker)
-                    if int(frame["cohort"]) != cohort:
-                        raise RuntimeError(
-                            f"pipelined lane pool desynchronized: worker {worker} "
-                            f"returned cohort {int(frame['cohort'])} results for a "
-                            f"cohort {cohort} round"
-                        )
-                    self._raise_lane_failures(worker, frame)
-                    self._apply_result(
-                        worker, frame, pending["actions"], pending["values"],
-                        pending["log_probs"], pending["starts"],
-                        lane_buffers, buffer, infos, num_trajectories,
-                        allow_restarts=False, stealing=stealing, quota=quota,
-                    )
-                self._inject_kills()
-                idle_sweeps = 0
-            if len(infos) >= num_trajectories:
-                if all(entry is None for entry in outstanding):
-                    return
-                cohort = (cohort + 1) % depth
-                continue
-
-            issued, quota, next_index = self._issue_cohort(
-                cohort, cohort_lanes[cohort], actor_critic, rngs, deterministic,
-                episode_jobs, stealing, quota, next_index, presample_flag,
+            if starts:
+                self._reset_round(starts, episode_jobs, next_index)
+                quota -= len(starts)
+                next_index += len(starts)
+            running = [lane for lane in range(self._num_envs) if self._lanes[lane].running]
+            if not running:
+                return
+            finished = self._step_round(
+                actor_critic, running, rngs, deterministic, lane_buffers, buffer, infos
             )
-            if issued is not None:
-                outstanding[cohort] = issued
-                idle_sweeps = 0
-            else:
-                idle_sweeps += 1
-                if idle_sweeps >= depth and all(
-                    entry is None for entry in outstanding
-                ):  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"lane pool stalled with {len(infos)}/{num_trajectories} "
-                        "episodes collected"
-                    )
-            cohort = (cohort + 1) % depth
+            starts = finished[:quota]
 
-    def _forward(
+    def _push_lane_commands(self, commands: Dict[int, Tuple[int, int]]) -> List[int]:
+        """Push one round frame to every worker hosting a commanded lane.
+
+        ``commands`` maps lane -> ``(op, arg)``; other lanes get ``NOOP``.
+        Workers with nothing to do get no frame.  Returns the engaged
+        workers in order -- pop their results in that order, which is
+        ascending global lane order.
+        """
+        engaged: List[int] = []
+        for worker, (lo, hi) in enumerate(self.shards):
+            lanes = [lane for lane in range(lo, hi) if lane in commands]
+            if not lanes:
+                continue
+            cmd = np.zeros(hi - lo, dtype=np.int64)
+            arg = np.zeros(hi - lo, dtype=np.int64)
+            for lane in lanes:
+                cmd[lane - lo], arg[lane - lo] = commands[lane]
+            self._push_round(
+                worker, {"kind": _KIND_ROUND, "replay": 0, "cmd": cmd, "arg": arg}
+            )
+            engaged.append(worker)
+        self._counters["rounds"].inc()
+        return engaged
+
+    def _reset_round(
+        self, lanes: List[int], episode_jobs: Optional[Sequence], first_index: int
+    ) -> None:
+        """Start an episode on each of ``lanes`` (ascending) in one round.
+
+        With fixed sequences, lane ``lanes[k]`` gets
+        ``episode_jobs[first_index + k]``; otherwise each lane samples from
+        its own trace rng.
+        """
+        commands: Dict[int, Tuple[int, int]] = {}
+        specs: Dict[int, tuple] = {}
+        for offset, lane in enumerate(lanes):
+            if episode_jobs is None:
+                commands[lane] = (_CMD_RESET, _RESET_SAMPLE)
+                specs[lane] = ("sample",)
+            else:
+                commands[lane] = (_CMD_RESET, first_index + offset)
+                specs[lane] = ("jobs", episode_jobs[first_index + offset])
+        for worker in self._push_lane_commands(commands):
+            frame = self._pop_result(worker)
+            self._raise_lane_failures(worker, frame)
+            lo, hi = self.shards[worker]
+            for lane in range(lo, hi):
+                if lane in specs:
+                    self._record_reset(lane, specs[lane])
+                    self._lanes[lane].start(
+                        frame["obs"][lane - lo].copy(), frame["mask"][lane - lo].copy()
+                    )
+        self._inject_kills()
+
+    def _step_round(
         self,
         actor_critic: ActorCritic,
         running: List[int],
         rngs: Sequence[np.random.Generator],
         deterministic: bool,
-    ) -> Tuple[Dict[int, int], Dict[int, float], Dict[int, float]]:
-        """One batched forward pass over ``running`` lanes (may be empty)."""
-        actions: Dict[int, int] = {}
-        values: Dict[int, float] = {}
-        log_probs: Dict[int, float] = {}
-        if running:
-            t0 = time.perf_counter_ns()
-            obs_batch = np.stack([self._lanes[lane].observation for lane in running])
-            mask_batch = np.stack([self._lanes[lane].mask for lane in running])
-            acts, vals, lps = actor_critic.step_batch(
-                obs_batch,
-                mask_batch,
-                rngs=None if deterministic else [rngs[lane] for lane in running],
-                deterministic=deterministic,
-            )
-            dt = time.perf_counter_ns() - t0
-            self._counters["forward_ns"].inc(dt)
-            get_tracer().complete("engine.forward", t0, dt, cat="engine")
-            act_list, val_list, lp_list = acts.tolist(), vals.tolist(), lps.tolist()
-            for row, lane in enumerate(running):
-                actions[lane] = act_list[row]
-                values[lane] = val_list[row]
-                log_probs[lane] = lp_list[row]
-        return actions, values, log_probs
-
-    def _issue_cohort(
-        self,
-        cohort: int,
-        lanes: List[int],
-        actor_critic: ActorCritic,
-        rngs: Sequence[np.random.Generator],
-        deterministic: bool,
-        episode_jobs: Optional[Sequence],
-        stealing: bool,
-        quota: int,
-        next_index: int,
-        presample_flag: int,
-    ) -> Tuple[Optional[Dict], int, int]:
-        """Forward + push one cohort round; returns (context, quota, next_index).
-
-        ``context`` is ``None`` when the cohort has nothing to do (no running
-        lanes and no starts within budget) -- no frames are pushed then.
-        """
-        running = [lane for lane in lanes if self._lanes[lane].running]
-        starts: List[int] = []
-        budget = len(lanes) if stealing else quota
-        for lane in lanes:
-            if len(starts) >= budget:
-                break
-            if not self._lanes[lane].running:
-                starts.append(lane)
-        if not running and not starts:
-            return None, quota, next_index
-        if not stealing:
-            quota -= len(starts)
-        self._pending_starts.update(starts)
-
-        actions, values, log_probs = self._forward(
-            actor_critic, running, rngs, deterministic
-        )
-
-        workers: List[int] = []
-        for worker, (lo, hi) in enumerate(self.shards):
-            shard = hi - lo
-            cmd = np.zeros(shard, dtype=np.int64)
-            arg = np.zeros(shard, dtype=np.int64)
-            engaged = False
-            for lane in lanes:
-                if lane < lo or lane >= hi:
-                    continue
-                if lane in actions:
-                    cmd[lane - lo] = _CMD_STEP
-                    arg[lane - lo] = actions[lane]
-                    engaged = True
-                elif lane in starts:
-                    cmd[lane - lo] = _CMD_RESET
-                    engaged = True
-                    if episode_jobs is not None:
-                        arg[lane - lo] = next_index
-                        self._pending_reset_spec[lane] = (
-                            "jobs", episode_jobs[next_index],
-                        )
-                        next_index += 1
-                    else:
-                        arg[lane - lo] = _RESET_SAMPLE
-                        self._pending_reset_spec[lane] = ("sample",)
-            if not engaged:
-                continue
-            self._push_round(
-                worker,
-                {
-                    "kind": _KIND_ROUND,
-                    "cohort": cohort,
-                    "presample": presample_flag,
-                    "credit_base": 0,
-                    "credits": 0,  # pipelined rounds never auto-restart
-                    "replay": 0,
-                    "cmd": cmd,
-                    "arg": arg,
-                },
-            )
-            workers.append(worker)
-        self._counters["rounds"].inc()
-        context = {
-            "workers": workers,
-            "actions": actions,
-            "values": values,
-            "log_probs": log_probs,
-            "starts": set(starts),
-        }
-        return context, quota, next_index
-
-    def _restart_specs(
-        self, worker: int, frame: Dict[str, np.ndarray], episode_jobs, base: int
-    ) -> Dict[int, tuple]:
-        """Reset-history specs for the worker's same-round auto-restarts.
-
-        The worker hands out claimed indices starting at the frame's credit
-        base in ascending lane order, which is exactly the order restarted
-        statuses appear in; sampled restarts need no index.
-        """
-        specs: Dict[int, tuple] = {}
-        lo, hi = self.shards[worker]
-        order = 0
-        for local in range(hi - lo):
-            if int(frame["status"][local]) == _LANE_DONE_RESTARTED:
-                if episode_jobs is not None:
-                    specs[lo + local] = ("jobs", episode_jobs[base + order])
-                    order += 1
-                else:
-                    specs[lo + local] = ("sample",)
-        return specs
-
-    def _apply_result(
-        self,
-        worker: int,
-        frame: Dict[str, np.ndarray],
-        actions: Dict[int, int],
-        values: Dict[int, float],
-        log_probs: Dict[int, float],
-        starts: Set[int],
         lane_buffers: List[TrajectoryBuffer],
         buffer: TrajectoryBuffer,
         infos: List[Dict],
-        num_trajectories: int,
-        allow_restarts: bool,
-        stealing: bool,
-        quota: int,
-        restart_specs: Optional[Dict[int, tuple]] = None,
-    ) -> None:
-        """Fold one worker's result frame into parent-side rollout state.
+    ) -> List[int]:
+        """Forward every running lane once and step it; returns finished lanes.
 
-        Stores transitions, adopts restarted or newly started lanes, and
-        pushes finished episodes onto the canonical release queue -- ascending
-        lane order, identical for the lockstep and pipelined paths (pipelined
-        rounds set ``credits=0`` so ``allow_restarts`` only ever fires on the
-        lockstep path).  Episodes enter the epoch buffer through
-        :meth:`_drain_release_queue`, never directly.
+        Transitions are stored and finished episodes merged into ``buffer``
+        and ``infos`` in ascending lane order.  Finished lanes are retired
+        and returned in ascending order for the caller's restart decision.
         """
-        lo, hi = self.shards[worker]
-        for lane in range(lo, hi):
-            local = lane - lo
-            status = int(frame["status"][local])
-            state = self._lanes[lane]
-            if lane in actions:
+        actions, values, log_probs = self._forward(
+            actor_critic, running, rngs, deterministic
+        )
+        engaged = self._push_lane_commands(
+            {lane: (_CMD_STEP, actions[lane]) for lane in running}
+        )
+        finished: List[int] = []
+        for worker in engaged:
+            frame = self._pop_result(worker)
+            self._raise_lane_failures(worker, frame)
+            lo, hi = self.shards[worker]
+            for lane in range(lo, hi):
+                if lane not in actions:
+                    continue
+                local = lane - lo
+                state = self._lanes[lane]
                 reward = float(frame["reward"][local])
                 lane_buffers[lane].store(
                     state.observation,
@@ -1813,95 +1267,49 @@ class ProcessLanePool:
                     log_probs[lane],
                 )
                 self._counters["decisions"].inc()
-                self._release_clocks[lane] += 1
                 self._action_history[lane].append(int(actions[lane]))
                 state.episode_reward += reward
                 state.episode_steps += 1
-                if status in (_LANE_DONE_RESTARTED, _LANE_DONE_IDLE):
+                if int(frame["status"][local]) == _LANE_DONE:
                     lane_buffers[lane].finish_path(last_value=0.0)
-                    info = self._terminal_info(frame["info"][local], state, lane)
+                    infos.append(self._terminal_info(frame["info"][local], state, lane))
+                    buffer.absorb(lane_buffers[lane])
                     self._counters["episodes"].inc()
-                    episode_buffer = TrajectoryBuffer(
-                        gamma=buffer.gamma, lam=buffer.lam
-                    )
-                    episode_buffer.absorb(lane_buffers[lane])
-                    heapq.heappush(
-                        self._release_pending,
-                        (self._release_clocks[lane], lane, info, episode_buffer),
-                    )
-                    if status == _LANE_DONE_RESTARTED and allow_restarts:
-                        # The worker's same-round restart consumed either the
-                        # next fixed sequence or the lane's own sampling
-                        # draws; record it so a respawn replays it.
-                        self._record_reset(lane, (restart_specs or {})[lane])
-                        state.start(
-                            frame["obs"][local].copy(), frame["mask"][local].copy()
-                        )
-                    else:
-                        self._action_history[lane].clear()
-                        state.retire()
+                    self._action_history[lane].clear()
+                    state.retire()
+                    finished.append(lane)
                 else:
                     state.observation = frame["obs"][local].copy()
                     state.mask = frame["mask"][local].copy()
-            elif lane in starts and status == _LANE_RUNNING:
-                self._pending_starts.discard(lane)
-                self._record_reset(
-                    lane, self._pending_reset_spec.pop(lane, ("sample",))
-                )
-                state.start(frame["obs"][local].copy(), frame["mask"][local].copy())
-        self._drain_release_queue(stealing, quota, buffer, infos, num_trajectories)
+        self._inject_kills()
+        return finished
 
-    def _drain_release_queue(
+    def _forward(
         self,
-        stealing: bool,
-        quota: int,
-        buffer: TrajectoryBuffer,
-        infos: List[Dict],
-        num_trajectories: int,
-        final: bool = False,
-    ) -> None:
-        """Release completed episodes in canonical ``(clock, lane)`` order.
-
-        An episode keyed ``(c, l)`` -- lane ``l`` finished it after storing
-        its ``c``-th decision of this rollout -- is released only once no
-        other lane can still complete an episode with a smaller key.  A lane
-        ``m`` that may yet finish an episode (it is running, its RESET is in
-        flight, or it is idle but restartable because stealing is on or quota
-        remains) finishes no earlier than ``(clock_m + 1, m)``.  Arrival
-        order already satisfies this whenever every lane stores one decision
-        per round, so the queue usually drains immediately; it holds entries
-        back exactly when a lane lost a round relative to its decision clock
-        (pipelined cohorts, lockstep explicit-RESET restarts), which is what
-        makes the epoch buffer identical across schedulers.  Released
-        episodes are credited while the call's quota of ``num_trajectories``
-        lasts and banked (work stealing) afterwards.  ``final=True`` (the
-        post-loop flush) releases unconditionally -- no lane can produce
-        further completions once the round loop has exited.
-        """
-        pending = self._release_pending
-        while pending:
-            if not final:
-                key = (pending[0][0], pending[0][1])
-                blocked = False
-                for m, state in enumerate(self._lanes):
-                    may_finish = (
-                        state.running
-                        or m in self._pending_starts
-                        or stealing
-                        or quota > 0
-                    )
-                    if may_finish and (self._release_clocks[m] + 1, m) <= key:
-                        blocked = True
-                        break
-                if blocked:
-                    return
-            _, _, info, episode_buffer = heapq.heappop(pending)
-            if len(infos) < num_trajectories:
-                infos.append(info)
-                buffer.absorb(episode_buffer)
-            else:
-                self._bank.append((info, episode_buffer))
-                self._counters["steal_banked"].inc()
+        actor_critic: ActorCritic,
+        running: List[int],
+        rngs: Sequence[np.random.Generator],
+        deterministic: bool,
+    ) -> Tuple[Dict[int, int], Dict[int, float], Dict[int, float]]:
+        """One batched forward pass over ``running`` lanes."""
+        t0 = time.perf_counter_ns()
+        obs_batch = np.stack([self._lanes[lane].observation for lane in running])
+        mask_batch = np.stack([self._lanes[lane].mask for lane in running])
+        acts, vals, lps = actor_critic.step_batch(
+            obs_batch,
+            mask_batch,
+            rngs=None if deterministic else [rngs[lane] for lane in running],
+            deterministic=deterministic,
+        )
+        dt = time.perf_counter_ns() - t0
+        self._counters["forward_ns"].inc(dt)
+        get_tracer().complete("engine.forward", t0, dt, cat="engine")
+        act_list, val_list, lp_list = acts.tolist(), vals.tolist(), lps.tolist()
+        return (
+            dict(zip(running, act_list)),
+            dict(zip(running, val_list)),
+            dict(zip(running, lp_list)),
+        )
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
@@ -1920,7 +1328,6 @@ class ProcessLanePool:
     def __repr__(self) -> str:
         return (
             f"ProcessLanePool(num_envs={self._num_envs}, num_workers={self.num_workers}, "
-            f"work_stealing={self.work_stealing}, pipeline_depth={self.pipeline_depth}, "
             f"start_method={self.start_method!r})"
         )
 
@@ -1931,10 +1338,7 @@ def make_rollout_engine(
     seed: SeedLike = None,
     backend: str = "local",
     num_workers: int | None = None,
-    work_stealing: bool = True,
     start_method: str | None = None,
-    pipeline_depth: int = 1,
-    presample: bool | None = None,
     respawn: bool = True,
     fault_plan: FaultPlan | None = None,
 ):
@@ -1943,23 +1347,8 @@ def make_rollout_engine(
     ``backend="local"`` returns the in-process
     :class:`~repro.rl.vec_env.VecBackfillEnv`; ``backend="process"`` returns
     a :class:`ProcessLanePool` whose lanes live in worker processes.  Both
-    backends derive lane seeds identically from ``seed``, so for one worker
-    (stealing off) they produce bit-identical trajectories.
-
-    ``pipeline_depth`` selects the process backend's round scheduling:
-    1 = lockstep (the bit-identical path), 2 = double-buffered cohorts that
-    overlap the parent's batched forward pass with worker simulator stepping
-    (plus background episode pre-sampling; ``presample`` overrides its
-    default of "on iff pipelined").  The local backend steps lanes in this
-    process, so the knob does not apply and is ignored.
-
-    ``work_stealing`` is deliberately NOT forwarded to the local backend
-    either, even though :class:`~repro.rl.vec_env.VecBackfillEnv` now has a
-    stealing mode: the trainer's default config sets ``work_stealing=True``,
-    and wiring it through here would silently change every local-backend
-    training run's trajectory stream.  The local stealing mode is a parity
-    *reference* -- construct ``VecBackfillEnv`` with ``work_stealing=True``
-    directly when you want it (as ``tests/test_parity_matrix.py`` does).
+    backends derive lane seeds identically from ``seed``, so they produce
+    bit-identical trajectories at any worker count.
     """
     if backend == "local":
         return VecBackfillEnv.from_template(environment, num_envs, seed=seed)
@@ -1969,10 +1358,7 @@ def make_rollout_engine(
             num_envs,
             seed=seed,
             num_workers=num_workers,
-            work_stealing=work_stealing,
             start_method=start_method,
-            pipeline_depth=pipeline_depth,
-            presample=presample,
             respawn=respawn,
             fault_plan=fault_plan,
         )

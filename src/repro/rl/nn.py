@@ -9,8 +9,8 @@ objects with ``requires_grad=True``; optimizers consume ``module.parameters()``.
 kernel** (:meth:`Tensor.matmul_invariant`): every output row is bit-identical
 whether it is forwarded alone or inside any larger batch.  Since all model
 matmuls go through ``Linear``, the networks' outputs are invariant to rollout
-batch composition -- the property the vectorized/multiprocess/pipelined
-rollout engines' bit-parity contract rests on.
+batch composition -- the property the vectorized and multiprocess rollout
+engines' bit-parity contract rests on.
 
 State is (de)serialized by **qualified attribute path** (e.g.
 ``network.0.weight`` for the first layer of an :class:`MLP`), so a checkpoint

@@ -127,8 +127,7 @@ class ActorCritic(ABC):
         ``step_batch`` is batch-invariant per row, this agrees bit for bit
         with the same observation forwarded inside any batch -- the serial
         rollout path, the vectorized engine at any ``num_envs``, and the
-        worker pools at any shard layout or pipeline depth all see identical
-        floats.
+        worker pools at any shard layout all see identical floats.
         """
         rng = as_rng(rng)
         actions, values, log_probs = self.step_batch(

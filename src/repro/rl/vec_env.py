@@ -103,11 +103,7 @@ def validate_rollout_args(
 class VecBackfillEnv:
     """Steps N independent backfilling environments in lockstep."""
 
-    def __init__(self, envs: Sequence[Environment], work_stealing: bool = False):
-        """``work_stealing=True`` enables the always-restart crediting scheme
-        of the process pool (see :meth:`rollout`); the default keeps the
-        historical fixed-assignment behaviour, which is what the trainer's
-        local backend uses."""
+    def __init__(self, envs: Sequence[Environment]):
         if not envs:
             raise ValueError("VecBackfillEnv needs at least one environment lane")
         sizes = {(env.observation_size, env.num_actions) for env in envs}
@@ -118,7 +114,6 @@ class VecBackfillEnv:
         if len({id(env) for env in envs}) != len(envs):
             raise ValueError("environment lanes must be distinct instances")
         self.envs: List[Environment] = list(envs)
-        self.work_stealing = bool(work_stealing)
         # The engine's cumulative statistics live in a private always-enabled
         # registry (the global on/off switch gates *extra* instrumentation,
         # never the stats() surface existing tests and tools rely on);
@@ -131,7 +126,6 @@ class VecBackfillEnv:
                 "rounds",
                 "decisions",
                 "episodes",
-                "steal_discarded",
                 "forward_ns",
                 "encode_ns",
                 "step_ns",
@@ -146,7 +140,6 @@ class VecBackfillEnv:
         env: Environment,
         num_envs: int,
         seed: SeedLike = None,
-        work_stealing: bool = False,
     ) -> "VecBackfillEnv":
         """Build ``num_envs`` lanes from one template environment.
 
@@ -155,7 +148,7 @@ class VecBackfillEnv:
         clones seeded from ``seed``.  The template must expose ``clone(seed)``
         (as :class:`~repro.core.environment.BackfillEnvironment` does).
         """
-        return cls(clone_lane_envs(env, num_envs, seed=seed), work_stealing=work_stealing)
+        return cls(clone_lane_envs(env, num_envs, seed=seed))
 
     # -- properties -----------------------------------------------------------
     @property
@@ -174,26 +167,17 @@ class VecBackfillEnv:
     def stats(self) -> Dict[str, float]:
         """Cumulative engine statistics, same keys as the process backend.
 
-        Most pool-only counters (pre-sampling, worker idle) are structurally
-        zero here: the in-process engine has no workers to idle.  In
-        work-stealing mode, surplus episodes completed in the final round are
-        *discarded* rather than banked for a future call (there is no
-        persistent worker to hold them), so they are reported under
-        ``steal_banked`` -- the pool's count of the same surplus -- while
-        ``steal_credited`` stays zero (no bank ever pays out locally).
+        The pool-only counters (respawns, worker idle and wait) are
+        structurally zero here: the in-process engine has no workers.
         """
         c = self._counters
         return {
             "engine": "local",
-            "pipeline_depth": 1,
             "num_workers": 0,
             "rollouts": c["rollouts"].value,
             "rounds": c["rounds"].value,
             "decisions": c["decisions"].value,
             "episodes": c["episodes"].value,
-            "steal_banked": c["steal_discarded"].value,
-            "steal_credited": 0,
-            "presampled_resets": 0,
             "respawns": 0,
             "replayed_commands": 0,
             "worker_idle_fraction": 0.0,
@@ -254,25 +238,10 @@ class VecBackfillEnv:
 
         Returns one info dict per completed episode (the environment's
         terminal info plus ``episode_reward``/``episode_steps``), in
-        completion order.
-
-        **Work-stealing mode** (``work_stealing=True`` at construction,
-        effective only for sampled non-deterministic rollouts, exactly like
-        the process pool): every lane always restarts after finishing an
-        episode instead of parking once the remaining quota is below the lane
-        count, and completed episodes are credited in completion order --
-        within a lockstep round, ascending lane order, which is the pool's
-        canonical ``(lane decision clock, lane)`` release order -- until
-        ``num_trajectories`` are credited.  Surplus episodes finished in the
-        final round are discarded (the pool banks them for its next call; a
-        local engine has no next-call state, see :meth:`stats`).  For one
-        fresh rollout call the credited episode stream is therefore
-        bit-identical to a fresh stealing pool's at any worker count or
-        pipeline depth, which is what makes this the single-process parity
-        reference for the stealing matrix in ``tests/test_parity_matrix.py``.
+        completion order.  A finished lane restarts while episode starts
+        remain, in ascending lane order within a round; after that it parks.
         """
         rngs = validate_rollout_args(self.num_envs, num_trajectories, rngs, episode_jobs)
-        stealing = self.work_stealing and episode_jobs is None and not deterministic
 
         lane_buffers = [
             TrajectoryBuffer(gamma=buffer.gamma, lam=buffer.lam) for _ in self.envs
@@ -307,10 +276,7 @@ class VecBackfillEnv:
             episode_rewards[lane] = 0.0
             episode_steps[lane] = 0
 
-        # Stealing keeps every lane running regardless of the remaining
-        # quota; the fixed-assignment mode never starts more episodes than
-        # it will credit.
-        started = self.num_envs if stealing else min(self.num_envs, num_trajectories)
+        started = min(self.num_envs, num_trajectories)
         active = list(range(started))
         encode_lanes: List[int] = []
         counters = self._counters
@@ -322,7 +288,7 @@ class VecBackfillEnv:
                 actor_critic, num_trajectories, buffer, rngs, deterministic,
                 episode_jobs, lane_buffers, observations, masks,
                 episode_rewards, episode_steps, infos, deferred, builder,
-                start_episode, started, active, encode_lanes, stealing,
+                start_episode, started, active, encode_lanes,
             )
         finally:
             # Wall time must stay consistent with the per-phase counters
@@ -354,7 +320,6 @@ class VecBackfillEnv:
         started,
         active,
         encode_lanes,
-        stealing=False,
     ) -> List[Dict]:
         """The round loop of :meth:`rollout`, extracted so the caller can
         account wall time in a ``finally`` (consistent counters even when a
@@ -429,35 +394,20 @@ class VecBackfillEnv:
                             "lane": lane,
                         }
                     )
-                    if stealing:
-                        # Credit in completion order up to the quota; surplus
-                        # from the final round is discarded (the pool would
-                        # bank it for its next call).  Lanes always restart.
-                        if len(infos) < num_trajectories:
-                            infos.append(info)
-                            buffer.absorb(lane_buffers[lane])
-                        else:
-                            counters["steal_discarded"].inc()
-                            lane_buffers[lane].clear()
+                    infos.append(info)
+                    buffer.absorb(lane_buffers[lane])
+                    if started < num_trajectories:
                         start_episode(lane, started)
+                        started += 1
                         still_active.append(lane)
                         if deferred:
                             encode_lanes.append(lane)
                     else:
-                        infos.append(info)
-                        buffer.absorb(lane_buffers[lane])
-                        if started < num_trajectories:
-                            start_episode(lane, started)
-                            started += 1
-                            still_active.append(lane)
-                            if deferred:
-                                encode_lanes.append(lane)
-                        else:
-                            # The lane has exhausted the episode quota: drop
-                            # its observation and mask so it contributes no
-                            # further rows to the encode or forward batches.
-                            observations[lane] = None
-                            masks[lane] = None
+                        # The lane has exhausted the episode quota: drop
+                        # its observation and mask so it contributes no
+                        # further rows to the encode or forward batches.
+                        observations[lane] = None
+                        masks[lane] = None
                 else:
                     masks[lane] = result.mask
                     if deferred:
@@ -469,11 +419,6 @@ class VecBackfillEnv:
             counters["step_ns"].inc(dt)
             tracer.complete("engine.step", t_step, dt, cat="engine")
             active = still_active
-            if stealing and len(infos) >= num_trajectories:
-                # Stealing lanes never park themselves, so the quota check
-                # terminates the round loop (matching the pool, which stops
-                # issuing step commands once its credit count fills).
-                break
         return infos
 
     def __repr__(self) -> str:

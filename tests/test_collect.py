@@ -253,7 +253,6 @@ class TestLanePoolSpanExport:
             lanes,
             seed=11,
             num_workers=2,
-            work_stealing=False,
             fault_plan=FaultPlan(worker_kills=((0, 0),)),
         )
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
@@ -300,7 +299,7 @@ class TestLanePoolSpanExport:
         try:
             pool = ProcessLanePool.from_template(
                 make_training_env(small_trace), 4, seed=11,
-                num_workers=2, work_stealing=False,
+                num_workers=2,
             )
             agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
             with pool:

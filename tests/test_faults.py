@@ -297,8 +297,8 @@ class TestPoolFaultParity:
     @pytest.mark.parametrize(
         "label, kwargs",
         [
-            ("faulted[w2]", dict(num_workers=2, work_stealing=False)),
-            ("faulted[w2,d2]", dict(num_workers=2, work_stealing=False, pipeline_depth=2)),
+            ("faulted[w2]", dict(num_workers=2)),
+            ("faulted[w3]", dict(num_workers=3)),
         ],
     )
     def test_killed_workers_replay_bit_identically(
@@ -322,36 +322,35 @@ class TestPoolFaultParity:
         for key in reference["arrays"]:
             assert np.array_equal(arrays[key], reference["arrays"][key]), f"{label}: {key}"
 
-    def test_stealing_rollouts_survive_kills_across_calls(self, small_trace):
-        """Two consecutive stealing rollouts with kills in both equal the
-        unfailed stealing pool, surplus banking included."""
+    def test_consecutive_rollouts_survive_kills_across_calls(self, small_trace):
+        """Two consecutive rollouts with more episodes than lanes and kills
+        in both equal the local engine's two calls, restarts included."""
         episodes = 12
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
 
-        def run(fault_plan):
-            agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-            pool = ProcessLanePool.from_template(
-                make_training_env(small_trace),
-                LANES,
-                seed=11,
-                num_workers=2,
-                work_stealing=True,
-                fault_plan=fault_plan,
-            )
+        def run(engine):
             out = []
-            with pool:
-                for call in range(2):
-                    buffer = TrajectoryBuffer()
-                    infos = pool.rollout(
-                        agent, episodes, buffer, rngs=lane_rngs(LANES, base=10 * call)
-                    )
-                    out.append((infos, buffer_arrays(buffer)))
-                stats = pool.stats()
-            return out, stats
+            for call in range(2):
+                buffer = TrajectoryBuffer()
+                infos = engine.rollout(
+                    agent, episodes, buffer, rngs=lane_rngs(LANES, base=10 * call)
+                )
+                out.append((infos, buffer_arrays(buffer)))
+            return out
 
-        clean, clean_stats = run(None)
-        faulted, faulted_stats = run(FaultPlan(worker_kills=((0, 1), (2, 0), (3, 1))))
-        assert clean_stats["respawns"] == 0
-        assert faulted_stats["respawns"] >= 1
+        clean = run(VecBackfillEnv.from_template(make_training_env(small_trace), LANES, seed=11))
+        pool = ProcessLanePool.from_template(
+            make_training_env(small_trace),
+            LANES,
+            seed=11,
+            num_workers=2,
+            fault_plan=FaultPlan(worker_kills=((0, 1), (2, 0), (3, 1), (90, 0))),
+        )
+        with pool:
+            faulted = run(pool)
+            stats = pool.stats()
+        # Rounds 0-3 fall in the first call, round 90 in the second.
+        assert stats["respawns"] == 4
         for call, ((clean_infos, clean_arrays), (f_infos, f_arrays)) in enumerate(
             zip(clean, faulted)
         ):

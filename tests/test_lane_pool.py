@@ -1,21 +1,15 @@
 """Tests for the multiprocess rollout lane pool.
 
-The acceptance contract (ISSUE 2, enforced here and documented in
+The acceptance contract (enforced here and documented in
 ``docs/simulator.md`` §4):
 
-* **One-worker bit parity** -- a :class:`ProcessLanePool` with one worker and
-  work stealing off performs exactly the same environment interactions, rng
-  draws, encode batches, and forward-pass batch compositions as the
-  in-process :class:`VecBackfillEnv`, so trajectories, buffer contents, and
-  episode infos are bit-identical for the same seeds.  (Since ISSUE 4's
-  batch-invariant forward kernel and canonical episode-release order, bit
-  parity extends to any worker count and pipeline depth -- the cross-config
-  matrix is pinned in ``tests/test_parity_matrix.py``; this file keeps the
-  strictest same-batch-composition case.)
-* **Work stealing** -- draining lanes start next-epoch episodes; surplus
-  completions and in-flight partial trajectories are banked and credited to
-  the next rollout call, and every call still returns exactly the requested
-  number of episodes.
+* **Bit parity** -- a :class:`ProcessLanePool` performs exactly the same
+  environment interactions and rng draws as the in-process
+  :class:`VecBackfillEnv`, so trajectories, buffer contents, and episode
+  infos are bit-identical for the same seeds, call after call.  This file
+  keeps the strictest same-batch-composition case (one worker) and the
+  multi-call sequences; the cross-config matrix is pinned in
+  ``tests/test_parity_matrix.py``.
 * **Clean shutdown** -- workers exit and shared-memory segments are released
   on ``close()`` (idempotent, context-manager friendly), and worker errors
   propagate to the parent as exceptions instead of hangs.
@@ -37,6 +31,24 @@ from repro.workloads.sampling import sample_sequence
 
 
 OBS_CONFIG = ObservationConfig(max_queue_size=16)
+
+STATS_KEYS = {
+    "engine",
+    "num_workers",
+    "rollouts",
+    "rounds",
+    "decisions",
+    "episodes",
+    "respawns",
+    "replayed_commands",
+    "worker_idle_fraction",
+    "forward_s",
+    "encode_s",
+    "step_s",
+    "result_wait_s",
+    "worker_wait_s",
+    "rollout_s",
+}
 
 
 def make_env(small_trace, seed=5, **kwargs):
@@ -121,7 +133,7 @@ class TestOneWorkerParity:
         local_data = local_buffer.get()
 
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 4, seed=11, num_workers=1, work_stealing=False
+            make_training_env(small_trace), 4, seed=11, num_workers=1
         )
         with pool:
             pool_buffer = TrajectoryBuffer()
@@ -147,7 +159,6 @@ class TestOneWorkerParity:
                 num_envs=3,
                 backend=backend,
                 num_workers=1,
-                work_stealing=False,
             )
             with Trainer(env, agent, config, seed=5) as trainer:
                 return trainer.train_epoch(1)
@@ -160,148 +171,128 @@ class TestOneWorkerParity:
         assert local.value_loss == process.value_loss
 
 
-class TestWorkStealing:
-    def test_exact_episode_counts_with_bank_and_inflight(self, small_trace):
+def rollout_arrays(engine, agent, num_trajectories, rngs, buffer=None, **kwargs):
+    """One rollout call; returns its infos and stacked buffer contents."""
+    buffer = TrajectoryBuffer() if buffer is None else buffer
+    infos = engine.rollout(agent, num_trajectories, buffer, rngs=rngs, **kwargs)
+    return infos, buffer.get()
+
+
+def assert_same_rollout(label, got, reference):
+    infos, data = got
+    ref_infos, ref_data = reference
+    assert infos == ref_infos, label
+    assert set(data) == set(ref_data)
+    for key in ref_data:
+        assert np.array_equal(data[key], ref_data[key]), f"{label}: {key}"
+
+
+class TestMultiCallRollouts:
+    """Every rollout call starts and finishes its own episodes, so a pool
+    driven through a sequence of calls matches the local engine call by
+    call."""
+
+    def test_consecutive_calls_match_local_engine(self, small_trace):
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        local = VecBackfillEnv.from_template(make_training_env(small_trace), 4, seed=11)
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 4, seed=11, num_workers=2, work_stealing=True
+            make_training_env(small_trace), 4, seed=11, num_workers=2
         )
         with pool:
-            first = TrajectoryBuffer()
-            infos_1 = pool.rollout(agent, 3, first, rngs=lane_rngs(4))
-            assert len(infos_1) == 3
-            assert first.num_complete == len(first) > 0
-            # Stealing keeps every lane hot: all four are mid-episode when the
-            # call returns, and any surplus completions sit in the bank.
-            assert pool.pending_inflight_lanes == 4
-            assert pool.pending_banked_episodes >= 0
+            # Fewer episodes than lanes, then more: some lanes park in the
+            # first call, every lane restarts at least once in the second.
+            for call, episodes in enumerate((3, 7, 1)):
+                rngs = 10 * call
+                expected = rollout_arrays(local, agent, episodes, lane_rngs(4, base=rngs))
+                got = rollout_arrays(pool, agent, episodes, lane_rngs(4, base=rngs))
+                assert len(got[0]) == episodes
+                assert_same_rollout(f"call {call}", got, expected)
+                # Each call's buffer holds exactly the steps of its episodes.
+                assert len(got[1]["actions"]) == sum(i["episode_steps"] for i in got[0])
+                assert not any(state.running for state in pool._lanes)
 
-            second = TrajectoryBuffer()
-            infos_2 = pool.rollout(agent, 3, second, rngs=lane_rngs(4, base=10))
-            assert len(infos_2) == 3
-            assert second.num_complete == len(second) > 0
-            # Each call's buffer holds exactly the steps of the episodes it
-            # credited -- banked/in-flight steps never leak between buffers.
-            assert len(first) == sum(info["episode_steps"] for info in infos_1)
-            assert len(second) == sum(info["episode_steps"] for info in infos_2)
-
-    def test_bank_can_fully_serve_a_small_call(self, small_trace):
+    def test_fixed_sequence_eval_after_training_rollout(self, small_trace):
+        """A fixed-sequence eval with different gamma/lam follows a training
+        rollout on the same pool and matches the local engine."""
+        sequences = opportunity_sequences(small_trace, 3)
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        local = VecBackfillEnv.from_template(make_training_env(small_trace), 2, seed=11)
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 4, seed=11, num_workers=1, work_stealing=True
+            make_training_env(small_trace), 2, seed=11, num_workers=2
         )
         with pool:
-            scratch = TrajectoryBuffer()
-            pool.rollout(agent, 6, scratch, rngs=lane_rngs(4))
-            banked = pool.pending_banked_episodes
-            buffer = TrajectoryBuffer()
-            infos = pool.rollout(agent, 1, buffer, rngs=lane_rngs(4))
-            assert len(infos) == 1
-            assert buffer.num_complete == len(buffer) == infos[0]["episode_steps"]
-            if banked:
-                # Fully served from the bank: no new episode was consumed.
-                assert pool.pending_banked_episodes == banked - 1
-
-    def test_fixed_sequence_eval_after_stealing_rollout(self, small_trace):
-        """A fixed-sequence eval with different gamma/lam follows a stealing
-        rollout: the in-flight stolen episodes are discarded, not a crash."""
-        sequences = opportunity_sequences(small_trace, 2)
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 2, seed=11, num_workers=1, work_stealing=True
-        )
-        with pool:
-            training = TrajectoryBuffer(gamma=0.99, lam=0.95)
-            pool.rollout(agent, 2, training, rngs=lane_rngs(2))
-            assert pool.pending_inflight_lanes == 2
-            banked = pool.pending_banked_episodes
-            evaluation = TrajectoryBuffer()  # gamma=lam=1.0
-            if banked:
-                # Banked finished episodes genuinely pin gamma/lam.
-                with pytest.raises(ValueError, match="gamma/lam"):
-                    pool.rollout(
-                        agent, 2, evaluation, deterministic=True, episode_jobs=sequences
-                    )
-            else:
-                infos = pool.rollout(
-                    agent, 2, evaluation, deterministic=True, episode_jobs=sequences
+            for engine in (local, pool):
+                engine.rollout(
+                    agent, 2, TrajectoryBuffer(gamma=0.99, lam=0.95), rngs=lane_rngs(2)
                 )
-                assert len(infos) == 2
-                assert evaluation.num_complete == len(evaluation) > 0
+            expected = rollout_arrays(
+                local, agent, 3, None, deterministic=True, episode_jobs=sequences
+            )
+            got = rollout_arrays(
+                pool, agent, 3, None, deterministic=True, episode_jobs=sequences
+            )
+        assert_same_rollout("evaluation", got, expected)
 
-    def test_deterministic_rollout_isolated_from_stolen_stochastic_work(
-        self, small_trace
-    ):
-        """Deterministic evaluation neither credits nor extends banked/in-flight
-        stochastic episodes, and leaves the bank intact for the next training
-        call."""
+    def test_deterministic_rollout_between_training_calls(self, small_trace):
+        """Train, evaluate deterministically, train again: each call equals
+        the local engine's, so evaluation cannot perturb training."""
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        local = VecBackfillEnv.from_template(make_training_env(small_trace), 3, seed=11)
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 3, seed=11, num_workers=1, work_stealing=True
+            make_training_env(small_trace), 3, seed=11, num_workers=2
         )
+        calls = ((4, False, 0), (2, True, None), (5, False, 10))
         with pool:
-            training = TrajectoryBuffer()
-            pool.rollout(agent, 3, training, rngs=lane_rngs(3))
-            banked = pool.pending_banked_episodes
-            assert pool.pending_inflight_lanes == 3
-
-            evaluation = TrajectoryBuffer()
-            infos = pool.rollout(agent, 2, evaluation, deterministic=True)
-            assert len(infos) == 2
-            assert pool.pending_banked_episodes == banked
-            assert len(evaluation) == sum(info["episode_steps"] for info in infos)
-
-            resumed = TrajectoryBuffer()
-            infos = pool.rollout(agent, 3, resumed, rngs=lane_rngs(3, base=10))
-            assert len(infos) == 3
-            assert len(resumed) == sum(info["episode_steps"] for info in infos)
+            for index, (episodes, deterministic, base) in enumerate(calls):
+                expected, got = (
+                    rollout_arrays(
+                        engine, agent, episodes,
+                        None if base is None else lane_rngs(3, base=base),
+                        deterministic=deterministic,
+                    )
+                    for engine in (local, pool)
+                )
+                assert_same_rollout(f"call {index}", got, expected)
 
     def test_rollout_restarts_manually_driven_lanes(self, small_trace):
-        """Part-stepped lanes from the direct surface are not adopted mid-episode."""
+        """Part-stepped lanes from the direct surface are not adopted
+        mid-episode: the rollout restarts them exactly as the local engine
+        does."""
         sequences = opportunity_sequences(small_trace, 1)
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        local = VecBackfillEnv.from_template(make_training_env(small_trace), 2, seed=11)
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 2, seed=11, num_workers=1, work_stealing=False
+            make_training_env(small_trace), 2, seed=11, num_workers=1
         )
         with pool:
-            _, mask = pool.reset_lane(0, jobs=sequences[0])
-            pool.step_lane(0, int(np.flatnonzero(mask)[0]))
-            buffer = TrajectoryBuffer()
-            infos = pool.rollout(agent, 2, buffer, rngs=lane_rngs(2))
-            assert len(infos) == 2
-            # Every credited episode is stored in full from its first step.
-            assert len(buffer) == sum(info["episode_steps"] for info in infos)
+            results = []
+            for engine in (local, pool):
+                _, mask = engine.reset_lane(0, jobs=sequences[0])
+                engine.step_lane(0, int(np.flatnonzero(mask)[0]))
+                results.append(rollout_arrays(engine, agent, 2, lane_rngs(2)))
+        infos, data = results[1]
+        assert len(infos) == 2
+        # Every credited episode is stored in full from its first step.
+        assert len(data["actions"]) == sum(info["episode_steps"] for info in infos)
+        assert_same_rollout("pool", results[1], results[0])
 
-    def test_episode_jobs_disable_stealing_and_match_local(self, small_trace):
+    def test_episode_jobs_match_local_across_workers(self, small_trace):
         sequences = opportunity_sequences(small_trace, 3)
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=9)
 
         local = VecBackfillEnv([make_env(small_trace, seed=50 + i) for i in range(3)])
-        local_buffer = TrajectoryBuffer()
-        local_infos = local.rollout(
-            agent, 3, local_buffer, deterministic=True, episode_jobs=sequences
+        expected = rollout_arrays(
+            local, agent, 3, None, deterministic=True, episode_jobs=sequences
         )
-
         pool = ProcessLanePool(
-            [make_env(small_trace, seed=50 + i) for i in range(3)],
-            num_workers=2,
-            work_stealing=True,  # must be ignored for fixed episode lists
+            [make_env(small_trace, seed=50 + i) for i in range(3)], num_workers=2
         )
         with pool:
-            pool_buffer = TrajectoryBuffer()
-            pool_infos = pool.rollout(
-                agent, 3, pool_buffer, deterministic=True, episode_jobs=sequences
+            got = rollout_arrays(
+                pool, agent, 3, None, deterministic=True, episode_jobs=sequences
             )
-            assert pool.pending_inflight_lanes == 0
-            assert pool.pending_banked_episodes == 0
-
-        def summary(infos):
-            return sorted(
-                (info["lane"], info["bsld"], info["episode_steps"], info["episode_reward"])
-                for info in infos
-            )
-
-        assert summary(local_infos) == summary(pool_infos)
+            assert not any(state.running for state in pool._lanes)
+        assert_same_rollout("pool", got, expected)
 
 
 class TestLaneSurface:
@@ -329,33 +320,24 @@ class TestLaneSurface:
                 assert np.array_equal(result.mask, result_ref.mask)
                 mask_ref = result_ref.mask
 
-    def test_reset_lane_abandons_stolen_inflight_episode(self, small_trace):
-        """An explicit reset must drop a stolen episode's partial steps.
-
-        Otherwise the abandoned episode's stored transitions would splice
-        into the next episode's GAE path on its eventual finish_path().
-        """
+    def test_lanes_are_idle_after_a_rollout(self, small_trace):
+        """A rollout leaves no episode running: stepping a lane directly
+        needs a reset first, and the next rollout is unaffected by it."""
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        local = VecBackfillEnv.from_template(make_training_env(small_trace), 2, seed=11)
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 2, seed=11, num_workers=1, work_stealing=True
+            make_training_env(small_trace), 2, seed=11, num_workers=1
         )
         with pool:
-            scratch = TrajectoryBuffer()
-            pool.rollout(agent, 2, scratch, rngs=lane_rngs(2))
-            assert pool.pending_inflight_lanes == 2  # stolen episodes resident
-            assert any(len(b) for b in pool._lane_buffers)
-            if len(pool._lane_buffers[0]):
-                # Direct stepping would orphan the stored partial steps, so
-                # the pool refuses until the episode is explicitly abandoned.
-                with pytest.raises(RuntimeError, match="in-flight"):
-                    pool.step_lane(0, 0)
-            pool.reset_lane(0)
-            assert len(pool._lane_buffers[0]) == 0
-            buffer = TrajectoryBuffer()
-            infos = pool.rollout(agent, 2, buffer, rngs=lane_rngs(2))
-            assert len(infos) == 2
-            # Credited episodes' steps account for the buffer exactly.
-            assert len(buffer) == sum(info["episode_steps"] for info in infos)
+            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
+            local.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
+            with pytest.raises(RuntimeError, match="no active episode"):
+                pool.step_lane(0, 0)
+            for engine in (local, pool):
+                engine.reset_lane(0)
+            expected = rollout_arrays(local, agent, 2, lane_rngs(2, base=10))
+            got = rollout_arrays(pool, agent, 2, lane_rngs(2, base=10))
+        assert_same_rollout("pool", got, expected)
 
     def test_step_before_reset_raises(self, small_trace):
         pool = ProcessLanePool([make_env(small_trace, seed=1)], num_workers=1)
@@ -400,6 +382,61 @@ class TestLifecycle:
             # The episode is intact: a valid action still steps.
             result = pool.step_lane(0, int(np.flatnonzero(mask)[0]))
             assert np.isfinite(result.reward)
+
+    def test_recoverable_rollout_error_poisons_pool(self, small_trace):
+        """A bad fixed sequence mid-rollout raises ValueError and poisons
+        the pool: another worker's frame may be in flight and could no
+        longer be paired with its command."""
+        sequences = opportunity_sequences(small_trace, 1)
+        bad = [sequences[0][0]]  # single job: no backfilling opportunity
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        pool = ProcessLanePool(
+            [make_env(small_trace, seed=50 + i) for i in range(2)], num_workers=1
+        )
+        with pool:
+            with pytest.raises(ValueError, match="ValueError"):
+                pool.rollout(
+                    agent,
+                    2,
+                    TrajectoryBuffer(),
+                    deterministic=True,
+                    episode_jobs=[sequences[0], bad],
+                )
+            with pytest.raises(RuntimeError, match="desynchronized"):
+                pool.rollout(
+                    agent,
+                    1,
+                    TrajectoryBuffer(),
+                    deterministic=True,
+                    episode_jobs=[sequences[0]],
+                )
+
+    def test_worker_death_between_calls_raises_with_respawn_off(self, small_trace):
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        pool = ProcessLanePool.from_template(
+            make_training_env(small_trace), 4, seed=11, num_workers=2, respawn=False
+        )
+        with pool:
+            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(4))
+            pool._processes[0].terminate()
+            pool._processes[0].join(timeout=5.0)
+            with pytest.raises(RuntimeError, match="died unexpectedly"):
+                pool.rollout(agent, 4, TrajectoryBuffer(), rngs=lane_rngs(4))
+
+    def test_worker_death_between_calls_recovers_by_default(self, small_trace):
+        """With respawn on (the default), a killed worker is rebuilt via
+        deterministic replay and the next rollout succeeds."""
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        pool = ProcessLanePool.from_template(
+            make_training_env(small_trace), 4, seed=11, num_workers=2
+        )
+        with pool:
+            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(4))
+            pool._processes[0].kill()
+            pool._processes[0].join(timeout=5.0)
+            infos = pool.rollout(agent, 4, TrajectoryBuffer(), rngs=lane_rngs(4))
+            assert len(infos) == 4
+            assert pool.stats()["respawns"] == 1
 
     def test_shared_memory_released_after_close(self, small_trace):
         pool = ProcessLanePool([make_env(small_trace, seed=1)], num_workers=1)
@@ -452,6 +489,27 @@ class TestValidationAndFactory:
             pool.close()
         with pytest.raises(ValueError):
             make_rollout_engine(env, 2, backend="threads")
+
+    def test_stats_keys_match_across_engines(self, small_trace):
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        local = VecBackfillEnv.from_template(make_training_env(small_trace), 2, seed=3)
+        local.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
+        local_stats = local.stats()
+        assert set(local_stats) == STATS_KEYS
+        assert local_stats["engine"] == "local"
+        assert local_stats["decisions"] > 0
+        assert local_stats["rollout_s"] > 0
+
+        pool = ProcessLanePool.from_template(
+            make_training_env(small_trace), 2, seed=3, num_workers=1
+        )
+        with pool:
+            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
+            pool_stats = pool.stats()
+        assert set(pool_stats) == STATS_KEYS
+        assert pool_stats["engine"] == "process"
+        assert pool_stats["decisions"] == local_stats["decisions"]
+        assert 0.0 <= pool_stats["worker_idle_fraction"] <= 1.0
 
     def test_trainer_config_validation(self):
         with pytest.raises(ValueError):

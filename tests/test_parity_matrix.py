@@ -1,33 +1,25 @@
-"""Cross-config bit-parity matrix for the rollout stack (ISSUE 4).
+"""Cross-config bit-parity matrix for the rollout stack.
 
 The batch-invariant forward kernel (``repro.rl.autograd.invariant_matmul``)
-plus the canonical episode-release order make every engine configuration
+plus the lockstep pool's restart rule make every engine configuration
 produce **bit-identical** results for the same lanes and seeds:
 
 * ``vec[1]`` -- each lane of a multi-lane engine equals a standalone
   single-lane engine hosting the same environment and action rng, down to
   the stored value/log-prob floats;
-* ``vec[16]`` vs ``pool(workers=2, lanes=16)`` vs
-  ``pool(workers=2, pipeline_depth=2)`` -- identical per-lane episode
-  streams, identical epoch-buffer contents (including GAE advantages and
-  returns), identical episode infos;
+* ``vec[N]`` vs ``pool(workers=w)`` for every ``w`` -- identical per-lane
+  episode streams, identical epoch-buffer contents (including GAE
+  advantages and returns), identical episode infos, at any episode count:
+  one episode per lane, more episodes than lanes (finished lanes restart in
+  ascending lane order while episode starts remain, on every engine), and
+  fixed episode sequences;
 * one PPO training epoch on top of each engine yields bit-identical trained
   weights and epoch statistics.
 
 Guarantee boundary (documented in docs/simulator.md "Determinism
-contract"): no-steal pools equal the local engine bit for bit whenever each
-lane runs at most one episode (``num_trajectories <= num_envs``, any worker
-count, any depth) and at any episode count with one worker; stealing pools
-equal the **local work-stealing engine**
-(``VecBackfillEnv(work_stealing=True)``) -- and therefore each other -- at
-any worker count, depth, and episode count, for one fresh rollout call
-(the pool banks final-round surplus for its next call; the local engine
-discards it).  Stealing remains a genuine scheduling difference from the
-*no-steal* engines (a stolen second episode can complete -- in canonical
-time -- before a slow lane's first, changing which episodes are credited),
-and with stealing off and more episodes than lanes, restart-quota
-allocation differs between schedulers, so those pairings are excluded;
-per-lane streams and per-row floats still match everywhere.
+contract"): none on engine, worker count or episode count.  The one
+exception to bit-exactness anywhere in the stack is the serial *reference*
+encoder's ``math.log1p``, which no engine executes.
 """
 
 import numpy as np
@@ -49,6 +41,7 @@ from repro.rl.buffer import TrajectoryBuffer
 from repro.rl.lane_pool import ProcessLanePool
 from repro.rl.ppo import PPOConfig
 from repro.rl.vec_env import VecBackfillEnv, clone_lane_envs
+from repro.workloads.sampling import sample_sequence
 
 
 OBS_CONFIG = ObservationConfig(max_queue_size=16)
@@ -143,10 +136,9 @@ class TestRolloutMatrix:
     @pytest.mark.parametrize(
         "label, kwargs",
         [
-            ("pool[w1]", dict(num_workers=1, work_stealing=False)),
-            ("pool[w2]", dict(num_workers=2, work_stealing=False)),
-            ("pool[w2,d2]", dict(num_workers=2, work_stealing=False, pipeline_depth=2)),
-            ("pool[w3,d2]", dict(num_workers=3, work_stealing=False, pipeline_depth=2)),
+            ("pool[w1]", dict(num_workers=1)),
+            ("pool[w2]", dict(num_workers=2)),
+            ("pool[w3]", dict(num_workers=3)),
         ],
     )
     def test_pool_configs_match_vec16_bit_for_bit(
@@ -205,158 +197,142 @@ class TestRolloutMatrix:
             assert single_info == expected
 
 
-class TestStealingMatrix:
-    """With stealing on, parity extends to more episodes than lanes.
+class TestRestartMatrix:
+    """More episodes than lanes: restarts follow the local engine's rule.
 
-    The reference row is no longer a pool at all: a *local* engine in
-    work-stealing mode (``VecBackfillEnv(work_stealing=True)``) -- every lane
-    always restarts, episodes credited in the pool's canonical
-    ``(lane decision clock, lane)`` order, final-round surplus discarded
-    where the pool banks it.  For one fresh rollout call that stream is
-    bit-identical to a fresh stealing pool at any worker count and pipeline
-    depth, which upgrades the old pool-vs-pool consistency check into a
-    single-process ground truth for the stealing scheduler.
+    With 12 episodes over 8 lanes the first lanes to finish restart and the
+    rest park once episode starts run out.  Every pool must restart exactly
+    the lanes the local engine restarts, in the same round -- ascending lane
+    order within a round, across worker boundaries -- so that each lane runs
+    the same episodes and the epoch buffer is equal bit for bit.
     """
 
     LANES, EPISODES = 8, 12
 
     @pytest.fixture(scope="class")
-    def stealing_reference(self, small_trace):
+    def reference(self, small_trace):
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
         engine = VecBackfillEnv.from_template(
-            make_training_env(small_trace), self.LANES, seed=11, work_stealing=True
+            make_training_env(small_trace), self.LANES, seed=11
         )
         buffer = TrajectoryBuffer()
-        infos = engine.rollout(
-            agent, self.EPISODES, buffer, rngs=lane_rngs(self.LANES)
-        )
+        infos = engine.rollout(agent, self.EPISODES, buffer, rngs=lane_rngs(self.LANES))
         assert len(infos) == self.EPISODES
-        return {
-            "agent": agent,
-            "infos": infos,
-            "arrays": buffer_arrays(buffer),
-            "stats": engine.stats(),
-        }
+        # The case this matrix exists for: some lanes restart, others park.
+        assert 1 < len({info["lane"] for info in infos}) <= self.LANES
+        return {"agent": agent, "infos": infos, "arrays": buffer_arrays(buffer)}
 
-    def _collect_pool(self, small_trace, agent, **kwargs):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pools_match_local_engine(self, small_trace, reference, workers):
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace),
-            self.LANES,
-            seed=11,
-            work_stealing=True,
-            **kwargs,
+            make_training_env(small_trace), self.LANES, seed=11, num_workers=workers
         )
         with pool:
             buffer = TrajectoryBuffer()
             infos = pool.rollout(
-                agent, self.EPISODES, buffer, rngs=lane_rngs(self.LANES)
+                reference["agent"], self.EPISODES, buffer, rngs=lane_rngs(self.LANES)
             )
-            return infos, buffer_arrays(buffer)
+            arrays = buffer_arrays(buffer)
+        label = f"pool[w{workers}]"
+        assert infos == reference["infos"], label
+        assert_bit_identical(label, arrays, reference["arrays"])
 
-    @pytest.mark.parametrize(
-        "label, kwargs",
-        [
-            ("w1", dict(num_workers=1)),
-            ("w2", dict(num_workers=2)),
-            ("w2,d2", dict(num_workers=2, pipeline_depth=2)),
-            ("w3,d2", dict(num_workers=3, pipeline_depth=2)),
-        ],
-    )
-    def test_stealing_pools_match_local_stealing_engine(
-        self, small_trace, stealing_reference, label, kwargs
-    ):
-        """trajectories > lanes, stealing on: every pool configuration must
-        reproduce the local stealing engine's credited episode stream and
-        epoch-buffer floats bit for bit."""
-        infos, arrays = self._collect_pool(
-            small_trace, stealing_reference["agent"], **kwargs
-        )
-        assert infos == stealing_reference["infos"], label
-        assert_bit_identical(label, arrays, stealing_reference["arrays"])
-
-    def test_local_stealing_credits_exactly_the_quota(self, stealing_reference):
-        """The local mode credits EPISODES episodes, never more, and reports
-        any surplus under the pool's ``steal_banked`` key."""
-        stats = stealing_reference["stats"]
-        credited = len(stealing_reference["infos"])
-        assert credited == self.EPISODES
-        assert stats["episodes"] == credited + stats["steal_banked"]
-
-    def test_stealing_flag_is_inert_for_deterministic_and_fixed_jobs(
-        self, small_trace
-    ):
-        """Stealing only applies to sampled rollouts: deterministic mode (and
-        fixed episode_jobs) must produce the exact fixed-assignment stream, so
-        evaluation paths cannot be perturbed by the flag."""
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_fixed_sequence_pools_match_local_engine(self, small_trace, workers):
+        """Fixed sequences are handed out in the same lane order too."""
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        probe = make_training_env(small_trace)
+        sequences = []
+        attempt = 100
+        while len(sequences) < self.EPISODES:
+            candidate = sample_sequence(small_trace, 96, seed=attempt)
+            attempt += 1
+            try:
+                probe.reset(jobs=candidate)
+            except ValueError:  # no backfilling opportunity
+                continue
+            sequences.append(candidate)
 
-        def run(work_stealing):
-            engine = VecBackfillEnv.from_template(
-                make_training_env(small_trace),
-                self.LANES,
-                seed=11,
-                work_stealing=work_stealing,
-            )
+        def run(engine):
             buffer = TrajectoryBuffer()
             infos = engine.rollout(
-                agent,
-                self.EPISODES,
-                buffer,
-                rngs=lane_rngs(self.LANES),
-                deterministic=True,
+                agent, self.EPISODES, buffer, rngs=lane_rngs(self.LANES),
+                episode_jobs=sequences,
             )
             return infos, buffer_arrays(buffer)
 
-        plain_infos, plain_arrays = run(False)
-        steal_infos, steal_arrays = run(True)
-        assert steal_infos == plain_infos
-        assert_bit_identical("deterministic", steal_arrays, plain_arrays)
+        ref_infos, ref_arrays = run(
+            VecBackfillEnv.from_template(make_training_env(small_trace), self.LANES, seed=11)
+        )
+        with ProcessLanePool.from_template(
+            make_training_env(small_trace), self.LANES, seed=11, num_workers=workers
+        ) as pool:
+            infos, arrays = run(pool)
+        assert infos == ref_infos
+        assert_bit_identical(f"pool[w{workers}]", arrays, ref_arrays)
 
 
 class TestTrainedWeightMatrix:
     """A full PPO epoch: identical buffers must yield identical weights."""
 
-    def test_post_epoch_weights_bit_identical_across_engines(self, small_trace):
-        def train(backend, **kwargs):
-            env = make_training_env(small_trace)
-            agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-            config = TrainerConfig(
-                epochs=1,
-                trajectories_per_epoch=LANES,
-                ppo=PPOConfig(policy_iterations=3, value_iterations=3),
-                num_envs=LANES,
-                backend=backend,
-                work_stealing=False,
-                **kwargs,
+    @staticmethod
+    def train(small_trace, backend, trajectories, seed=5, **kwargs):
+        env = make_training_env(small_trace)
+        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+        config = TrainerConfig(
+            epochs=1,
+            trajectories_per_epoch=trajectories,
+            ppo=PPOConfig(policy_iterations=3, value_iterations=3),
+            num_envs=LANES,
+            backend=backend,
+            **kwargs,
+        )
+        with Trainer(env, agent, config, seed=seed) as trainer:
+            stats = trainer.train_epoch(1)
+        numeric = {
+            key: getattr(stats, key)
+            for key in (
+                "mean_episode_reward",
+                "mean_bsld",
+                "mean_baseline_bsld",
+                "mean_violations",
+                "steps",
+                "policy_loss",
+                "value_loss",
+                "approximate_kl",
+                "entropy",
             )
-            with Trainer(env, agent, config, seed=5) as trainer:
-                stats = trainer.train_epoch(1)
-            state = agent.state_dict()
-            numeric = {
-                key: getattr(stats, key)
-                for key in (
-                    "mean_episode_reward",
-                    "mean_bsld",
-                    "mean_baseline_bsld",
-                    "mean_violations",
-                    "steps",
-                    "policy_loss",
-                    "value_loss",
-                    "approximate_kl",
-                    "entropy",
-                )
-            }
-            return numeric, state
+        }
+        return numeric, agent.state_dict()
 
-        ref_stats, ref_state = train("local")
-        for label, kwargs in [
-            ("process[w2]", dict(num_workers=2)),
-            ("process[w2,d2]", dict(num_workers=2, pipeline_depth=2)),
-        ]:
-            stats, state = train("process", **kwargs)
-            assert stats == ref_stats, label
-            for net in ref_state:
-                for key in ref_state[net]:
-                    assert np.array_equal(
-                        state[net][key], ref_state[net][key]
-                    ), f"{label}: {net}/{key}"
+    def assert_same_model(self, label, trained, reference):
+        stats, state = trained
+        ref_stats, ref_state = reference
+        assert stats == ref_stats, label
+        for net in ref_state:
+            for key in ref_state[net]:
+                assert np.array_equal(
+                    state[net][key], ref_state[net][key]
+                ), f"{label}: {net}/{key}"
+
+    def test_post_epoch_weights_bit_identical_across_engines(self, small_trace):
+        reference = self.train(small_trace, "local", LANES)
+        for workers in (2, 3):
+            self.assert_same_model(
+                f"process[w{workers}]",
+                self.train(small_trace, "process", LANES, num_workers=workers),
+                reference,
+            )
+
+    def test_more_trajectories_than_lanes_train_the_same_weights(self, small_trace):
+        """Lanes restart within the epoch; the model still does not depend
+        on the backend.  Seed 15 has a lane on the second worker finish in a
+        round where fewer episode starts remain than lanes step: handing the
+        remaining starts to workers in worker order instead of to finished
+        lanes in lane order trains a different model here."""
+        trajectories = LANES + LANES // 2
+        self.assert_same_model(
+            "process[w2]",
+            self.train(small_trace, "process", trajectories, seed=15, num_workers=2),
+            self.train(small_trace, "local", trajectories, seed=15),
+        )

@@ -1,27 +1,13 @@
-"""Tests for the pipelined (double-buffered cohort) rollout lane pool.
+"""Lane pool behaviour once covered by the pipelined (pipeline_depth=2) mode.
 
-The acceptance contract (ISSUE 3, upgraded to full bit parity by ISSUE 4;
-documented in ``docs/simulator.md`` §5-§6):
+The pipelined mode was deleted; the pool now steps every lane in lockstep.
+These two tests keep what those checks pinned and what the pool still does:
 
-* **Bit parity** -- ``pipeline_depth=2`` produces **bit-identical** rollouts
-  to ``pipeline_depth=1`` for the same seeds: the batch-invariant forward
-  kernel makes each lane's floats independent of cohort batch composition,
-  and the canonical episode-release order makes the epoch buffer identical
-  even though cohorts complete rounds at interleaved times.  (The wider
-  cross-config matrix -- local engine, worker counts, trained weights --
-  lives in ``tests/test_parity_matrix.py``.)
-* **Failure semantics** -- worker death and recoverable lane errors
-  mid-pipeline poison or recover exactly as in lockstep: rollout-phase
-  errors re-raise with the original type and poison the pool (unconsumed
-  cohort frames cannot be re-paired), direct-surface errors leave the pool
-  usable.
-* **Pre-sampling** -- background episode pre-sampling serves sampled resets
-  from the worker's armed queue when gap time allowed arming, and falls back
-  to the in-round reset without deadlock when it did not (a fresh pool's
-  first resets, exhaustion mid-round).
+* direct-surface commands (``reset_lane``/``step_lane``) recover from
+  recoverable errors after a full rollout, on a lane held by a later worker;
+* a process-backend training epoch over several workers matches the local
+  backend, epoch statistics and engine counters alike.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -29,35 +15,12 @@ import pytest
 from repro.core import BackfillEnvironment, RLBackfillAgent, Trainer, TrainerConfig
 from repro.core.observation import ObservationConfig
 from repro.rl.buffer import TrajectoryBuffer
-from repro.rl.lane_pool import ProcessLanePool, make_rollout_engine
+from repro.rl.lane_pool import ProcessLanePool
 from repro.rl.ppo import PPOConfig
-from repro.rl.vec_env import VecBackfillEnv
 from repro.workloads.sampling import sample_sequence
 
 
 OBS_CONFIG = ObservationConfig(max_queue_size=16)
-
-STATS_KEYS = {
-    "engine",
-    "pipeline_depth",
-    "num_workers",
-    "rollouts",
-    "rounds",
-    "decisions",
-    "episodes",
-    "steal_banked",
-    "steal_credited",
-    "presampled_resets",
-    "respawns",
-    "replayed_commands",
-    "worker_idle_fraction",
-    "forward_s",
-    "encode_s",
-    "step_s",
-    "result_wait_s",
-    "worker_wait_s",
-    "rollout_s",
-}
 
 
 def make_env(small_trace, seed=5, **kwargs):
@@ -94,309 +57,59 @@ def opportunity_sequences(trace, count, length=96, seed=100):
     return sequences
 
 
-class TestEpisodeSetParity:
-    def test_depth2_bit_identical_to_depth1(self, small_trace):
-        """One episode per lane: depth-2 rollouts equal depth-1 bit for bit.
-
-        Per-lane episode-sampling rngs live in the worker environments and
-        per-lane action rngs in the parent, so cohort scheduling moves *when*
-        work happens but not *what* each lane computes; the batch-invariant
-        forward kernel makes even the stored value/log-prob floats identical
-        across the cohorts' different batch compositions, and the canonical
-        release order lines the epoch buffer up despite interleaved cohort
-        completion times.
-        """
-
-        def collect(depth):
-            pool = ProcessLanePool.from_template(
-                make_training_env(small_trace),
-                4,
-                seed=11,
-                num_workers=1,
-                work_stealing=False,
-                pipeline_depth=depth,
-            )
-            with pool:
-                buffer = TrajectoryBuffer()
-                infos = pool.rollout(agent, 4, buffer, rngs=lane_rngs(4))
-                return infos, buffer.get()
-
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        infos_1, data_1 = collect(1)
-        infos_2, data_2 = collect(2)
-        assert len(infos_1) == len(infos_2) == 4
-        assert infos_1 == infos_2
-        for key in data_1:
-            assert np.array_equal(data_1[key], data_2[key]), key
-
-    def test_depth2_fixed_sequences_match_local_engine(self, small_trace):
-        """Deterministic fixed-sequence eval through the pipeline == local."""
-        sequences = opportunity_sequences(small_trace, 3)
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=9)
-
-        local = VecBackfillEnv([make_env(small_trace, seed=50 + i) for i in range(3)])
-        local_buffer = TrajectoryBuffer()
-        local_infos = local.rollout(
-            agent, 3, local_buffer, deterministic=True, episode_jobs=sequences
-        )
-
-        pool = ProcessLanePool(
-            [make_env(small_trace, seed=50 + i) for i in range(3)],
-            num_workers=2,
-            pipeline_depth=2,
-        )
-        with pool:
-            pool_buffer = TrajectoryBuffer()
-            pool_infos = pool.rollout(
-                agent, 3, pool_buffer, deterministic=True, episode_jobs=sequences
-            )
-            assert pool.pending_inflight_lanes == 0
-            assert pool.pending_banked_episodes == 0
-        # Cohort scheduling hands episode indices to lanes in cohort-issue
-        # order (not the lockstep's global ascending order), so the same
-        # episodes may land on different lanes; with deterministic actions an
-        # episode's content is lane-independent, so compare lane-free.
-
-        def lane_free(infos):
-            return sorted(
-                (i["episode_steps"], i["bsld"], i["episode_reward"], i["violations"])
-                for i in infos
-            )
-
-        assert lane_free(local_infos) == lane_free(pool_infos)
-        assert len(local_buffer) == len(pool_buffer)
-
-    def test_depth2_stealing_exact_counts_across_calls(self, small_trace):
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        pool = ProcessLanePool.from_template(
-            make_training_env(small_trace),
-            4,
-            seed=11,
-            num_workers=2,
-            work_stealing=True,
-            pipeline_depth=2,
-        )
-        with pool:
-            first = TrajectoryBuffer()
-            infos_1 = pool.rollout(agent, 3, first, rngs=lane_rngs(4))
-            assert len(infos_1) == 3
-            second = TrajectoryBuffer()
-            infos_2 = pool.rollout(agent, 3, second, rngs=lane_rngs(4, base=10))
-            assert len(infos_2) == 3
-            # Each call's buffer holds exactly the steps of the episodes it
-            # credited -- banked/in-flight steps never leak between buffers.
-            assert len(first) == sum(info["episode_steps"] for info in infos_1)
-            assert len(second) == sum(info["episode_steps"] for info in infos_2)
-
-
 class TestFailureSemantics:
-    def test_worker_death_mid_pipeline_raises_with_respawn_off(self, small_trace):
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        pool = ProcessLanePool.from_template(
-            make_training_env(small_trace),
-            4,
-            seed=11,
-            num_workers=2,
-            pipeline_depth=2,
-            respawn=False,
-        )
-        with pool:
-            buffer = TrajectoryBuffer()
-            pool.rollout(agent, 2, buffer, rngs=lane_rngs(4))
-            pool._processes[0].terminate()
-            pool._processes[0].join(timeout=5.0)
-            with pytest.raises(RuntimeError, match="died unexpectedly"):
-                pool.rollout(agent, 4, TrajectoryBuffer(), rngs=lane_rngs(4))
-
-    def test_worker_death_recovers_by_default(self, small_trace):
-        """With respawn on (the default), a killed worker is rebuilt via
-        deterministic replay and the next rollout succeeds."""
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        pool = ProcessLanePool.from_template(
-            make_training_env(small_trace),
-            4,
-            seed=11,
-            num_workers=2,
-            pipeline_depth=2,
-        )
-        with pool:
-            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(4))
-            pool._processes[0].kill()
-            pool._processes[0].join(timeout=5.0)
-            infos = pool.rollout(agent, 4, TrajectoryBuffer(), rngs=lane_rngs(4))
-            assert len(infos) == 4
-            assert pool.stats()["respawns"] == 1
-
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_recoverable_rollout_error_poisons_pool_like_lockstep(
-        self, small_trace, depth
-    ):
-        """A bad fixed sequence mid-rollout raises ValueError at either depth
-        and poisons the pool (frames may be in flight), exactly as lockstep."""
-        sequences = opportunity_sequences(small_trace, 1)
-        bad = [sequences[0][0]]  # single job: no backfilling opportunity
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        pool = ProcessLanePool(
-            [make_env(small_trace, seed=50 + i) for i in range(2)],
-            num_workers=1,
-            pipeline_depth=depth,
-        )
-        with pool:
-            with pytest.raises(ValueError, match="ValueError"):
-                pool.rollout(
-                    agent,
-                    2,
-                    TrajectoryBuffer(),
-                    deterministic=True,
-                    episode_jobs=[sequences[0], bad],
-                )
-            with pytest.raises(RuntimeError, match="desynchronized"):
-                pool.rollout(
-                    agent,
-                    1,
-                    TrajectoryBuffer(),
-                    deterministic=True,
-                    episode_jobs=[sequences[0]],
-                )
-
     def test_direct_surface_recovers_at_depth2(self, small_trace):
-        """Single-lane commands keep the worker usable after recoverable
-        errors, with pre-sampling armed lanes in the background."""
+        """After a rollout, single-lane commands on the second worker's lane
+        raise recoverable errors with the local type and leave it usable."""
         sequences = opportunity_sequences(small_trace, 1)
-        pool = ProcessLanePool(
-            [make_env(small_trace, seed=1)], num_workers=1, pipeline_depth=2
-        )
-        with pool:
-            no_opportunity = [sequences[0][0]]
-            with pytest.raises(ValueError, match="ValueError"):
-                pool.reset_lane(0, jobs=no_opportunity)
-            _, mask = pool.reset_lane(0, jobs=sequences[0])
-            masked_out = int(np.flatnonzero(mask == 0.0)[0])
-            with pytest.raises(ValueError, match="ValueError"):
-                pool.step_lane(0, masked_out)
-            result = pool.step_lane(0, int(np.flatnonzero(mask)[0]))
-            assert np.isfinite(result.reward)
-
-
-class TestPresampling:
-    def test_fresh_pool_falls_back_to_inround_resets(self, small_trace):
-        """The very first resets find no armed lanes: the in-round fallback
-        must start every episode without deadlocking."""
         agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
         pool = ProcessLanePool.from_template(
-            make_training_env(small_trace),
-            4,
-            seed=11,
-            num_workers=1,
-            work_stealing=False,
-            pipeline_depth=2,
-        )
-        with pool:
-            buffer = TrajectoryBuffer()
-            infos = pool.rollout(agent, 4, buffer, rngs=lane_rngs(4))
-            assert len(infos) == 4
-
-    def test_armed_lanes_serve_subsequent_resets(self, small_trace):
-        """After a rollout drains, idle lanes get armed in the gap; the next
-        rollout's sampled resets pop the prepared starts."""
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        pool = ProcessLanePool.from_template(
-            make_training_env(small_trace),
-            4,
-            seed=11,
-            num_workers=1,
-            work_stealing=False,
-            pipeline_depth=2,
+            make_training_env(small_trace), 4, seed=11, num_workers=2
         )
         with pool:
             pool.rollout(agent, 4, TrajectoryBuffer(), rngs=lane_rngs(4))
-            # All four lanes are idle now; give the worker gap time to arm
-            # them (one full pre-sampled episode start per lane).
-            time.sleep(0.5)
-            pool.rollout(agent, 4, TrajectoryBuffer(), rngs=lane_rngs(4, base=10))
-            assert pool.stats()["presampled_resets"] >= 1
-
-    def test_presample_can_be_disabled(self, small_trace):
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        pool = ProcessLanePool.from_template(
-            make_training_env(small_trace),
-            2,
-            seed=11,
-            num_workers=1,
-            work_stealing=False,
-            pipeline_depth=2,
-            presample=False,
-        )
-        with pool:
-            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
-            time.sleep(0.3)
-            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2, base=10))
-            assert pool.stats()["presampled_resets"] == 0
+            lane = 3
+            assert pool._worker_of(lane) == 1
+            with pytest.raises(ValueError, match="ValueError"):
+                pool.reset_lane(lane, jobs=[sequences[0][0]])
+            _, mask = pool.reset_lane(lane, jobs=sequences[0])
+            masked_out = int(np.flatnonzero(mask == 0.0)[0])
+            with pytest.raises(ValueError, match="ValueError"):
+                pool.step_lane(lane, masked_out)
+            result = pool.step_lane(lane, int(np.flatnonzero(mask)[0]))
+            assert np.isfinite(result.reward)
+            # A rollout after the direct-surface errors still runs.
+            infos = pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(4, 10))
+            assert len(infos) == 2
 
 
 class TestStatsAndWiring:
-    def test_stats_keys_match_across_engines(self, small_trace):
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        local = VecBackfillEnv.from_template(make_training_env(small_trace), 2, seed=3)
-        local.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
-        local_stats = local.stats()
-        assert set(local_stats) == STATS_KEYS
-        assert local_stats["engine"] == "local"
-        assert local_stats["decisions"] > 0
-        assert local_stats["rollout_s"] > 0
-
-        pool = ProcessLanePool.from_template(
-            make_training_env(small_trace), 2, seed=3, num_workers=1, pipeline_depth=2
-        )
-        with pool:
-            pool.rollout(agent, 2, TrajectoryBuffer(), rngs=lane_rngs(2))
-            pool_stats = pool.stats()
-        assert set(pool_stats) == STATS_KEYS
-        assert pool_stats["engine"] == "process"
-        assert pool_stats["pipeline_depth"] == 2
-        assert pool_stats["decisions"] > 0
-        assert 0.0 <= pool_stats["worker_idle_fraction"] <= 1.0
-
     def test_trainer_epoch_runs_pipelined(self, small_trace):
-        env = make_training_env(small_trace)
-        agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
-        config = TrainerConfig(
-            epochs=1,
-            trajectories_per_epoch=4,
-            ppo=PPOConfig(policy_iterations=3, value_iterations=3),
-            num_envs=3,
-            backend="process",
-            num_workers=1,
-            pipeline_depth=2,
-        )
-        with Trainer(env, agent, config, seed=5) as trainer:
-            stats = trainer.train_epoch(1)
-            assert np.isfinite(stats.mean_bsld)
-            assert stats.steps > 0
-            engine_stats = trainer.vec_env.stats()
-            assert engine_stats["episodes"] >= 4
+        """A two-worker process-backend epoch matches the local backend."""
 
-    def test_pipeline_depth_validation(self, small_trace):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            TrainerConfig(pipeline_depth=3)
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            ProcessLanePool([make_env(small_trace, seed=1)], pipeline_depth=0)
-        engine = make_rollout_engine(
-            make_training_env(small_trace),
-            2,
-            seed=3,
-            backend="process",
-            num_workers=1,
-            pipeline_depth=2,
-        )
-        try:
-            assert isinstance(engine, ProcessLanePool)
-            assert engine.pipeline_depth == 2
-            assert engine.presample
-        finally:
-            engine.close()
-        # The local backend steps lanes in-process; the knob is ignored.
-        local = make_rollout_engine(
-            make_training_env(small_trace), 2, seed=3, backend="local", pipeline_depth=2
-        )
-        assert isinstance(local, VecBackfillEnv)
+        def run(backend):
+            env = make_training_env(small_trace)
+            agent = RLBackfillAgent(observation_config=OBS_CONFIG, seed=5)
+            config = TrainerConfig(
+                epochs=1,
+                trajectories_per_epoch=4,
+                ppo=PPOConfig(policy_iterations=3, value_iterations=3),
+                num_envs=3,
+                backend=backend,
+                num_workers=2,
+            )
+            with Trainer(env, agent, config, seed=5) as trainer:
+                stats = trainer.train_epoch(1)
+                return stats, trainer.vec_env.stats()
+
+        (local, local_engine), (process, process_engine) = run("local"), run("process")
+        assert np.isfinite(process.mean_bsld)
+        assert process.steps > 0
+        assert process_engine["engine"] == "process"
+        assert process_engine["num_workers"] == 2
+        assert process_engine["episodes"] == local_engine["episodes"] >= 4
+        assert process_engine["decisions"] == local_engine["decisions"]
+        assert local.mean_bsld == process.mean_bsld
+        assert local.steps == process.steps
+        assert local.policy_loss == process.policy_loss
+        assert local.value_loss == process.value_loss
